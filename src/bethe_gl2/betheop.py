@@ -1,11 +1,15 @@
 """The twisted Bethe operator family on evaluation modules.
 
 The quadratic series is assembled in partial-fraction form: per-site simple
-poles with exact matrix residues.  Double-pole residues cancel identically
-on the vector representation and are asserted to vanish at assembly time.
-All standard-generator coefficients, the polynomial pair (W, U) of the
-second-order operator, and the identity checks of the commutative family
-are exact over Q.
+poles with exact matrix residues.  Each residue is built sparse, as a
+{(row, col): Fraction} map, by composing the partial maps col -> row of the
+single-site generators e_ab^(s) (`EvalModule.site_map`); no dense 2^n x 2^n
+product is formed.  Double-pole residues cancel identically on the vector
+representation and are asserted to vanish at assembly time, by the same
+compositions.  The standard-generator coefficients and the polynomial pair
+(W, U) of the second-order operator are summed from the sparse residues and
+become dense `Matrix` objects once, when handed out.  Everything, including
+the identity checks of the commutative family, is exact over Q.
 """
 
 from dataclasses import dataclass
@@ -38,69 +42,103 @@ class KMatrix:
 
 
 class OperatorSeries:
-    """Partial-fraction form sum_s residue_s / (u - b_s) of a Bethe series."""
+    """Partial-fraction form sum_s residue_s / (u - b_s) of a Bethe series.
 
-    def __init__(self, module: EvalModule, residues, name):
+    The residues are held sparse, as {(row, col): Fraction} maps; dense
+    matrices are formed only for the results handed out.
+    """
+
+    def __init__(self, module: EvalModule, sparse_residues, name):
         self.module = module
-        self.residues = residues
+        self.sparse_residues = sparse_residues
         self.name = name
+        self._residues = None
+
+    @property
+    def residues(self):
+        """The residues as dense matrices, built on first use."""
+        if self._residues is None:
+            dim = self.module.dim
+            self._residues = [Matrix.from_entries(dim, dim, res)
+                              for res in self.sparse_residues]
+        return self._residues
+
+    def combination(self, weights) -> Matrix:
+        """Dense sum_s weights[s] * residue_s."""
+        dim = self.module.dim
+        return Matrix.from_entries(
+            dim, dim, _combine(weights, self.sparse_residues))
 
     def coefficient(self, j) -> Matrix:
         """Matrix coefficient of u^{-j} in the expansion at infinity."""
-        dim = self.module.dim
         if j == 0:
-            return Matrix.zeros(dim, dim)
-        total = Matrix.zeros(dim, dim)
-        for point, res in zip(self.module.points, self.residues):
-            total = total + (point ** (j - 1)) * res
-        return total
+            return Matrix.zeros(self.module.dim, self.module.dim)
+        return self.combination([p ** (j - 1) for p in self.module.points])
 
     def evaluate(self, u0) -> Matrix:
         """Exact value at a rational point distinct from every pole."""
         u0 = Fraction(u0)
-        dim = self.module.dim
-        total = Matrix.zeros(dim, dim)
-        for point, res in zip(self.module.points, self.residues):
-            total = total + (Fraction(1) / (u0 - point)) * res
-        return total
+        return self.combination(
+            [Fraction(1) / (u0 - p) for p in self.module.points])
 
 
-def bethe_b1_series(module: EvalModule, kmat: KMatrix) -> OperatorSeries:
-    """First series: minus the sum of the two diagonal current series."""
-    minus_id = -Matrix.identity(module.dim)
-    return OperatorSeries(module, [minus_id] * module.n, "B1")
+def _combine(weights, sparse_matrices):
+    """Sparse sum_k weights[k] * sparse_matrices[k]."""
+    total = {}
+    for w, mat in zip(weights, sparse_matrices):
+        if w == 0:
+            continue
+        for key, x in mat.items():
+            total[key] = total.get(key, 0) + w * x
+    return total
+
+
+def _compose(left, right):
+    """Partial map of the product left * right of two single-site maps."""
+    return {col: left[mid] for col, mid in right.items() if mid in left}
+
+
+def _add_term(acc, weight, term):
+    """acc += weight * term, for a partial map term and a sparse acc."""
+    for col, row in term.items():
+        key = (row, col)
+        acc[key] = acc.get(key, 0) + weight
 
 
 def bethe_b2_series(module: EvalModule, kmat: KMatrix) -> OperatorSeries:
-    """Second series, assembled per-site with exact residues.
+    """Second series, assembled per-site with exact sparse residues.
 
-    The double-pole residue at each point is e11 e22 - e21 e12 + e22 acting
-    in one factor, which vanishes on the vector representation; a nonzero
-    value indicates corrupted state and is a hard error.
+    Every product of single-site generators is a composition of partial
+    maps (each generator has at most one nonzero per column), so a residue
+    costs O(n 2^n) rather than dense 2^n x 2^n products.  The double-pole
+    residue at each point is e11 e22 - e21 e12 + e22 acting in one factor,
+    which vanishes on the vector representation; a nonzero value indicates
+    corrupted state and is a hard error.
     """
     n = module.n
     pts = module.points
-    site = module.site_matrix
+    site = module.site_map
     residues = []
     for s in range(n):
-        double = (site(1, 1, s) * site(2, 2, s)
-                  - site(2, 1, s) * site(1, 2, s) + site(2, 2, s))
-        if not double.is_zero():
+        double = {}
+        _add_term(double, 1, _compose(site(1, 1, s), site(2, 2, s)))
+        _add_term(double, -1, _compose(site(2, 1, s), site(1, 2, s)))
+        _add_term(double, 1, site(2, 2, s))
+        if any(x != 0 for x in double.values()):
             raise InternalConsistencyError(
                 f"double-pole residue at point {pts[s]} did not cancel")
-        acc = Matrix.zeros(module.dim, module.dim)
+        acc = {}
         for t in range(n):
             if t == s:
                 continue
             weight = Fraction(1) / (pts[s] - pts[t])
-            cross = (site(1, 1, s) * site(2, 2, t)
-                     + site(1, 1, t) * site(2, 2, s)
-                     - site(2, 1, s) * site(1, 2, t)
-                     - site(2, 1, t) * site(1, 2, s))
-            acc = acc + weight * cross
+            _add_term(acc, weight, _compose(site(1, 1, s), site(2, 2, t)))
+            _add_term(acc, weight, _compose(site(1, 1, t), site(2, 2, s)))
+            _add_term(acc, -weight, _compose(site(2, 1, s), site(1, 2, t)))
+            _add_term(acc, -weight, _compose(site(2, 1, t), site(1, 2, s)))
         if kmat.k21 != 0:
-            acc = acc - kmat.k21 * site(2, 1, s)
-        residues.append(acc)
+            _add_term(acc, -kmat.k21, site(2, 1, s))
+        residues.append({key: x for key, x in acc.items() if x != 0})
     return OperatorSeries(module, residues, "B2")
 
 
@@ -117,16 +155,13 @@ class UniversalOperator:
         self.series = bethe_b2_series(module, kmat)
         self.w_poly = UniPoly.from_roots(module.points)
         n = module.n
-        dim = module.dim
-        u_coeffs = [Matrix.zeros(dim, dim) for _ in range(n)]
-        for s in range(n):
-            cofactor = UniPoly.from_roots(
-                [p for t, p in enumerate(module.points) if t != s])
-            res = self.series.residues[s]
-            for power in range(cofactor.degree() + 1):
-                u_coeffs[power] = u_coeffs[power] + cofactor.coefficient(power) * res
-        # u_coeffs[power] multiplies u^power; U_i is the coefficient of u^{n-i}.
-        self.u_list = [u_coeffs[n - i] for i in range(1, n + 1)]
+        cofactors = [UniPoly.from_roots(
+            [p for t, p in enumerate(module.points) if t != s])
+            for s in range(n)]
+        # U_i = sum_s [u^{n-i}] cofactor_s * residue_s.
+        self.u_list = [
+            self.series.combination([c.coefficient(n - i) for c in cofactors])
+            for i in range(1, n + 1)]
         self._coeff_cache = {}
 
     @property

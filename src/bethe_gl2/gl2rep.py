@@ -129,10 +129,6 @@ class EvalModule:
 
     # -- basis bookkeeping ---------------------------------------------
 
-    def weight_of_index(self, index):
-        m = self.basis[index].bit_count()
-        return (self.n - m, m)
-
     def weight_space_indices(self, m):
         return [i for i, mask in enumerate(self.basis)
                 if mask.bit_count() == m]
@@ -152,41 +148,46 @@ class EvalModule:
 
     # -- actions ---------------------------------------------------------
 
-    def site_matrix(self, a, b, site):
-        """e_ab acting in the given tensor factor only."""
+    def site_map(self, a, b, site):
+        """e_ab acting in the given tensor factor, as a partial map col -> row.
+
+        The single-site generator sends each basis vector to a basis vector
+        or to zero, so its matrix has at most one entry 1 per column; the
+        columns it kills are absent from the map.
+        """
         key = (a, b, site)
         if key not in self._site_cache:
             src, dst = _SITE_ACTION[(a, b)]
-            mat = Matrix.zeros(self.dim, self.dim)
-            for col, mask in enumerate(self.basis):
-                if (mask >> site) & 1 == src:
-                    new_mask = (mask & ~(1 << site)) | (dst << site)
-                    mat.data[self.position[new_mask]][col] = Fraction(1)
-            self._site_cache[key] = mat
+            bit = 1 << site
+            self._site_cache[key] = {
+                col: self.position[(mask & ~bit) | (dst << site)]
+                for col, mask in enumerate(self.basis)
+                if (mask >> site) & 1 == src}
         return self._site_cache[key]
+
+    def site_matrix(self, a, b, site):
+        """e_ab acting in the given tensor factor only."""
+        return Matrix.from_entries(
+            self.dim, self.dim,
+            {(row, col): 1
+             for col, row in self.site_map(a, b, site).items()})
 
     def generator_matrix(self, a, b, r):
         """Matrix of e_ab tensor t^r: sum_s b_s^r * e_ab^(s)."""
         key = (a, b, r)
         if key not in self._gen_cache:
-            src, dst = _SITE_ACTION[(a, b)]
-            mat = Matrix.zeros(self.dim, self.dim)
-            for col, mask in enumerate(self.basis):
-                for site in range(self.n):
-                    if (mask >> site) & 1 == src:
-                        new_mask = (mask & ~(1 << site)) | (dst << site)
-                        row = self.position[new_mask]
-                        mat.data[row][col] += self.points[site] ** r
-            self._gen_cache[key] = mat
+            entries = {}
+            for site in range(self.n):
+                weight = self.points[site] ** r
+                for col, row in self.site_map(a, b, site).items():
+                    entries[(row, col)] = entries.get((row, col), 0) + weight
+            self._gen_cache[key] = Matrix.from_entries(
+                self.dim, self.dim, entries)
         return self._gen_cache[key]
 
     def descriptor(self):
         return {"n": self.n,
                 "points": [_frac_str(p) for p in self.points]}
-
-
-def build_eval_module(n, points) -> EvalModule:
-    return EvalModule(n, points)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -250,9 +251,6 @@ class SymbolicVector:
     def degrees(self):
         return {sum(mono) - mask.bit_count()
                 for (mask, mono) in self.terms}
-
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
 
     def __add__(self, other):
         terms = dict(self.terms)

@@ -35,6 +35,17 @@ class Matrix:
                     for i in range(n)])
 
     @classmethod
+    def from_entries(cls, rows, cols, entries):
+        """Dense matrix from sparse {(row, col): value} entries."""
+        zero = Fraction(0)
+        data = [[zero] * cols for _ in range(rows)]
+        for (i, j), x in entries.items():
+            data[i][j] = Fraction(x)
+        mat = cls.__new__(cls)
+        mat.rows, mat.cols, mat.data = rows, cols, data
+        return mat
+
+    @classmethod
     def from_columns(cls, columns):
         if not columns:
             return cls.zeros(0, 0)
@@ -129,19 +140,12 @@ class Matrix:
     def is_zero(self):
         return all(a == 0 for row in self.data for a in row)
 
-    def transpose(self):
-        return Matrix([[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
     def apply(self, vector):
         return [sum((a * x for a, x in zip(row, vector) if a != 0),
                     Fraction(0)) for row in self.data]
 
     def trace(self):
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
-
-    def submatrix(self, row_idx, col_idx):
-        return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
 
     def _same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -215,44 +219,12 @@ def solve_unique(mat: Matrix, rhs):
     return x
 
 
-def row_space_contains(basis_rows, vector):
-    """Exact membership of vector in the row space of basis_rows."""
-    m, pivots = rref(basis_rows)
-    v = list(map(Fraction, vector))
-    for r, c in enumerate(pivots):
-        if v[c] != 0:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, m[r])]
-    return all(a == 0 for a in v)
-
-
 def same_row_space(rows_a, rows_b):
     ra, pa = rref(rows_a)
     rb, pb = rref(rows_b)
     ra = [r for r in ra if any(x != 0 for x in r)]
     rb = [r for r in rb if any(x != 0 for x in r)]
     return ra == rb
-
-
-def intersect_row_spaces(rows_a, rows_b):
-    """Basis (rref rows) of the intersection of two row spaces in Q^n."""
-    if not rows_a or not rows_b:
-        return []
-    n = len(rows_a[0])
-    # x in both spans: x = sum a_i u_i = sum b_j v_j; solve [U^T | -V^T] null.
-    stacked = []
-    for i in range(n):
-        stacked.append([u[i] for u in rows_a] + [-v[i] for v in rows_b])
-    null = kernel_basis(Matrix(stacked))
-    vectors = []
-    for coeffs in null:
-        vec = [Fraction(0)] * n
-        for a, u in zip(coeffs[:len(rows_a)], rows_a):
-            if a != 0:
-                vec = [x + a * y for x, y in zip(vec, u)]
-        vectors.append(vec)
-    reduced, _ = rref(vectors) if vectors else ([], [])
-    return [row for row in reduced if any(x != 0 for x in row)]
 
 
 def generalized_eigenspace(mat: Matrix, eigenvalue, exponent=None):
@@ -318,20 +290,12 @@ def minimal_polynomial(mat: Matrix) -> UniPoly:
     raise AssertionError("no minimal polynomial found (unreachable)")
 
 
-def span_dimension(vectors):
-    reduced, pivots = rref(vectors) if vectors else ([], [])
-    return len(pivots)
-
-
 class SpanBasis:
     """Incremental echelon basis of a subspace of Q^n."""
 
     def __init__(self):
         self.rows = []      # echelon rows, each with its pivot column
         self.pivots = []
-
-    def contains(self, vector):
-        return self._reduce(vector) is None
 
     def _reduce(self, vector):
         v = list(map(Fraction, vector))

@@ -19,7 +19,7 @@ from .errors import (GenericityError, MatchCountError,
 from .gl2rep import EvalModule, WeightLabel, singular_subspace, syt_count
 from .linalg import (Matrix, charpoly, generalized_eigenspace, kernel_basis,
                      rref, same_row_space)
-from .numeric import (default_tolerance, joint_split_mp,
+from .numeric import (MAX_PRECISION, default_tolerance, joint_split_mp,
                       joint_generalized_eigenspaces, lstsq_mp,
                       snap_to_rational, to_mp, with_precision_escalation)
 from .unipoly import UniPoly, is_squarefree, poly_wronskian
@@ -302,7 +302,12 @@ def eigenleaf_decomposition(block: IsotypicBlock, precision=128):
                 for _ in range(d):
                     power = power * n_mat
                 if d >= 0 and basis.cols > 1 and _matrix_norm(power) <= tol:
-                    raise TheoremViolationError(
+                    # Below the cap this is a precision shortfall: a split
+                    # at too low a precision can return subspaces that are
+                    # not leaves, on which N dies early.
+                    error = (PrecisionInsufficientError if prec < MAX_PRECISION
+                             else TheoremViolationError)
+                    raise error(
                         "nilpotent generator vanished before its index")
                 residual = _matrix_norm(power * n_mat)
                 scale = max(_matrix_norm(n1), mpmath.mpf(1))

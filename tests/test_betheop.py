@@ -3,11 +3,15 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from bethe_gl2 import gl2rep
 from bethe_gl2.betheop import (KMatrix, apply_bethe_symbolic,
                                b2_coefficients_via_products, bethe_b2_series,
                                bethe_coefficient, commutativity_check,
                                irrep_bethe_image, nilp_formula_check,
                                u_reconstruction_check, universal_operator)
+from bethe_gl2.errors import InternalConsistencyError
 from bethe_gl2.gl2rep import SymbolicVector, WeightLabel, syt_count
 from bethe_gl2.linalg import Matrix, charpoly
 from bethe_gl2.unipoly import UniPoly, laurent_at_infinity
@@ -55,13 +59,28 @@ def test_bethe_coefficient_examples():
 
 
 def test_series_product_crosscheck():
-    for points in ([0, 1], [0, 1, 2]):
+    for points in ([0, 1], [0, 1, 2],
+                   [Fraction(-3, 2), Fraction(1, 3), 2, 7]):
         m = module_for(points)
         for kmat in (KMatrix.zero(), KMatrix.nilpotent()):
             op = universal_operator(m, kmat)
             products = b2_coefficients_via_products(m, kmat, 2 * m.n + 3)
             for j, expected in products.items():
                 assert op.bethe_coefficient(2, j) == expected
+
+
+@pytest.mark.parametrize("corruption", [
+    {(2, 2): (0, 0)},
+    {(1, 2): (0, 1), (2, 1): (1, 0)},
+])
+def test_corrupted_site_action_fires_double_pole_check(monkeypatch,
+                                                       corruption):
+    for key, action in corruption.items():
+        monkeypatch.setitem(gl2rep._SITE_ACTION, key, action)
+    for kmat in (KMatrix.zero(), KMatrix.nilpotent()):
+        fresh = gl2rep.EvalModule(3, [0, 1, 2])
+        with pytest.raises(InternalConsistencyError, match="double-pole"):
+            bethe_b2_series(fresh, kmat)
 
 
 def test_laurent_extraction_crosscheck():

@@ -47,6 +47,26 @@ def test_decompose_output(tmp_path, capsys):
     assert leaf["coefficients"] == [["0"], ["2"]]
 
 
+def test_decompose_wide_points_escalate(tmp_path, capsys):
+    # At 128 bits the nilpotent of block (3,1) looks like it vanishes
+    # before its index at these points; the split must escalate instead
+    # of reporting a theorem violation.
+    out = tmp_path / "dec.json"
+    code, _, _ = run_cli(["decompose", "--points", "20,60,77,90",
+                          "--output", str(out)], capsys)
+    assert code == 0
+    payload = json.loads(out.read_text())
+    leaf_counts = {tuple(b["weight"]): len(b["leaves"])
+                   for b in payload["blocks"]}
+    assert leaf_counts == {(4, 0): 1, (3, 1): 3, (2, 2): 2}
+    for block in payload["blocks"]:
+        for leaf in block["leaves"]:
+            dim = leaf["dimension"]
+            expected_u1 = ["0", "1"] + ["0"] * (dim - 2) if dim > 1 else ["0"]
+            assert leaf["coefficients"][0] == expected_u1
+            assert leaf["coefficients"][1][0] == block["eigenvalue"]
+
+
 def test_eliminate_golden_values(capsys):
     code, out, _ = run_cli(["eliminate", "--k", "0", "--d", "1"], capsys)
     assert code == 0
