@@ -154,19 +154,27 @@ class UniversalOperator:
         self.kmat = kmat
         self.series = bethe_b2_series(module, kmat)
         self.w_poly = UniPoly.from_roots(module.points)
-        n = module.n
-        cofactors = [UniPoly.from_roots(
-            [p for t, p in enumerate(module.points) if t != s])
-            for s in range(n)]
-        # U_i = sum_s [u^{n-i}] cofactor_s * residue_s.
-        self.u_list = [
-            self.series.combination([c.coefficient(n - i) for c in cofactors])
-            for i in range(1, n + 1)]
+        self._u_list = None
         self._coeff_cache = {}
 
     @property
     def w(self):
         return self.w_poly
+
+    @property
+    def u_list(self):
+        """The dense U_1..U_n, built on first use."""
+        if self._u_list is None:
+            n = self.module.n
+            cofactors = [UniPoly.from_roots(
+                [p for t, p in enumerate(self.module.points) if t != s])
+                for s in range(n)]
+            # U_i = sum_s [u^{n-i}] cofactor_s * residue_s.
+            self._u_list = [
+                self.series.combination(
+                    [c.coefficient(n - i) for c in cofactors])
+                for i in range(1, n + 1)]
+        return self._u_list
 
     @property
     def u(self):

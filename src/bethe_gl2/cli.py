@@ -130,10 +130,6 @@ def cmd_decompose(args):
     return 0 if ok else 1
 
 
-def cmd_leaves(args):
-    return cmd_decompose(args)
-
-
 def cmd_eliminate(args):
     data = universal_operator_data(args.k, args.d)
     payload = _elimination_payload(data)

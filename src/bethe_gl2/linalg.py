@@ -156,7 +156,11 @@ class Matrix:
 
 
 def rref(rows):
-    """Reduced row echelon form of a list-of-lists copy; returns (rows, pivots)."""
+    """Reduced row echelon form of a copy of rows; returns (rows, pivots).
+
+    Scaling and elimination run only over the nonzero support of the pivot
+    row, so sparse rows cost in proportion to their nonzeros.
+    """
     m = [list(map(Fraction, row)) for row in rows]
     if not m:
         return m, []
@@ -168,12 +172,21 @@ def rref(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        row = m[r]
+        inv = 1 / row[c]
+        # Entries left of c vanish in rows r and below.
+        support = [(j, row[j] * inv) for j in range(c + 1, n_cols)
+                   if row[j] != 0]
+        row[c] = Fraction(1)
+        for j, x in support:
+            row[j] = x
         for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            other = m[i]
+            f = other[c]
+            if i != r and f != 0:
+                for j, x in support:
+                    other[j] -= f * x
+                other[c] = Fraction(0)
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -189,20 +202,24 @@ def kernel_basis(mat: Matrix):
     """Basis of the right null space, as a list of vectors.
 
     The basis is in reduced echelon form: stacking the vectors as rows and
-    row-reducing returns them unchanged, so results are deterministic.
+    row-reducing returns them unchanged, so results are deterministic.  It
+    is read off one echelon form of mat with its columns reversed: there
+    each null vector has its 1 at a free column and its other entries at
+    pivot columns to the left, which are the later columns of mat.
     """
-    m, pivots = rref(mat.data)
     n_cols = mat.cols
-    free = [c for c in range(n_cols) if c not in pivots]
+    m, pivots = rref([row[::-1] for row in mat.data])
+    free = sorted(set(range(n_cols)) - set(pivots), reverse=True)
     basis = []
     for fc in free:
         v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
+        v[n_cols - 1 - fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            if pc > fc:
+                break
+            v[n_cols - 1 - pc] = -m[r][fc]
         basis.append(v)
-    reduced, _ = rref(basis) if basis else ([], [])
-    return [row for row in reduced if any(x != 0 for x in row)]
+    return basis
 
 
 def solve_unique(mat: Matrix, rhs):
@@ -230,8 +247,10 @@ def same_row_space(rows_a, rows_b):
 def generalized_eigenspace(mat: Matrix, eigenvalue, exponent=None):
     """Basis columns of ker (mat - eigenvalue I)^exponent, reduced echelon.
 
-    exponent defaults to the ambient dimension; the power is raised only
-    until the kernel stabilizes, which happens at the nilpotency index.
+    exponent defaults to the ambient dimension.  No power is formed: with
+    S = mat - eigenvalue I, the chain grows as ker S^(k+1) = ker(A_k S),
+    where the rows of A_k span the annihilator of ker S^k, until it
+    stabilizes (at the nilpotency index) or reaches the exponent.
     """
     if mat.rows != mat.cols:
         raise ShapeError("generalized eigenspace of a non-square matrix")
@@ -239,13 +258,12 @@ def generalized_eigenspace(mat: Matrix, eigenvalue, exponent=None):
     if exponent is None:
         exponent = n
     shifted = mat - eigenvalue * Matrix.identity(n)
-    power = shifted
-    basis = kernel_basis(power)
+    basis = kernel_basis(shifted)
     for _ in range(1, exponent):
-        if len(basis) == n:
+        if not 0 < len(basis) < n:
             break
-        power = power * shifted
-        nxt = kernel_basis(power)
+        annihilator = Matrix(kernel_basis(Matrix(basis)))
+        nxt = kernel_basis(annihilator * shifted)
         if len(nxt) == len(basis):
             break
         basis = nxt

@@ -60,10 +60,6 @@ class MultiPoly:
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def max_power(self, name):
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
     def extract_linear(self, name):
         """Split into (a, rest) with self = a*name + rest, name absent from both.
 

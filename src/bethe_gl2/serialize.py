@@ -69,7 +69,3 @@ def unipoly_to_json(p: UniPoly, digits=30):
 def qseries_to_json(s: QSeries):
     return {"lowest": s.lo,
             "coeffs": [fraction_to_str(c) for c in s.coeffs]}
-
-
-def module_descriptor_to_json(module):
-    return module.descriptor()

@@ -59,26 +59,19 @@ def restrict_exact(mat: Matrix, basis: Matrix, pivots) -> Matrix:
 class IsotypicBlock:
     """Deformed isotypic component of an evaluation module."""
 
-    def __init__(self, module, kmat, weight, basis):
-        self.module = module
-        self.kmat = kmat
+    def __init__(self, operator: UniversalOperator, weight, basis):
+        self.operator = operator
+        self.module = operator.module
         self.weight = weight
         self.eigenvalue = block_eigenvalue(weight)
         self.basis = basis
         self.pivots = _column_pivots(basis)
-        self._op = None
         self._residues_restricted = None
         self._u_restricted = None
 
     @property
     def dim(self):
         return self.basis.cols
-
-    @property
-    def operator(self) -> UniversalOperator:
-        if self._op is None:
-            self._op = universal_operator(self.module, self.kmat)
-        return self._op
 
     def _residues(self):
         if self._residues_restricted is None:
@@ -90,17 +83,8 @@ class IsotypicBlock:
     def u_restricted(self):
         """Restrictions of U_1..U_n to the block, exact."""
         if self._u_restricted is None:
-            n = self.module.n
-            out = []
-            for i in range(1, n + 1):
-                acc = Matrix.zeros(self.dim, self.dim)
-                for s, res in enumerate(self._residues()):
-                    cofactor = UniPoly.from_roots(
-                        [p for t, p in enumerate(self.module.points)
-                         if t != s])
-                    acc = acc + cofactor.coefficient(n - i) * res
-                out.append(acc)
-            self._u_restricted = out
+            self._u_restricted = [restrict_exact(u, self.basis, self.pivots)
+                                  for u in self.operator.u]
         return self._u_restricted
 
     def bethe_restricted(self, j) -> Matrix:
@@ -114,28 +98,26 @@ class IsotypicBlock:
 def deformed_isotypical_decomposition(module: EvalModule, kmat: KMatrix):
     """Exact generalized-eigenspace blocks of the quadratic coefficient.
 
-    Block dimensions are forced to match (n-2k+1) times the tableau count
-    and to exhaust the module; a mismatch is a theorem violation.  For the
-    zero twist the blocks are verified to be honest eigenspaces.
+    Each block is computed as ker (B22 - lam)^e with the exponent the theorem
+    gives: e = d + 1 for the nilpotent twist, e = 1 for the zero twist.  Each
+    such kernel lies in its generalized eigenspace, so when the dimensions
+    match (d+1) times the tableau count and exhaust the module, every kernel
+    is the whole generalized eigenspace, and for the zero twist an honest
+    eigenspace.  A mismatch is a theorem violation.
     """
     op = universal_operator(module, kmat)
     b22 = op.bethe_coefficient(2, 2)
     blocks = []
     total = 0
     for weight in weight_labels(module.n):
-        lam = block_eigenvalue(weight)
-        basis = generalized_eigenspace(b22, lam)
+        exponent = weight.d + 1 if kmat.k21 != 0 else 1
+        basis = generalized_eigenspace(b22, block_eigenvalue(weight), exponent)
         expected = (weight.d + 1) * syt_count(weight)
         if basis.cols != expected:
             raise TheoremViolationError(
                 f"block ({weight.lam1},{weight.lam2}) has dimension "
                 f"{basis.cols}, expected {expected}")
-        if kmat.k21 == 0:
-            plain = generalized_eigenspace(b22, lam, exponent=1)
-            if plain.cols != basis.cols:
-                raise TheoremViolationError(
-                    "zero-twist block is not an honest eigenspace")
-        blocks.append(IsotypicBlock(module, kmat, weight, basis))
+        blocks.append(IsotypicBlock(op, weight, basis))
         total += basis.cols
     if total != module.dim:
         raise TheoremViolationError(
@@ -253,10 +235,6 @@ class EigenLeaf:
     def dim(self):
         return self.basis.cols
 
-    def ambient_basis(self):
-        exact = to_mp(self.block.basis)
-        return exact * self.basis
-
     def restrict(self, exact_matrix_on_block):
         """Numeric restriction of an exact block matrix to the leaf."""
         m_num = to_mp(exact_matrix_on_block)
@@ -358,24 +336,6 @@ class LeafOperator:
     def scalar_parts(self):
         """c_{i0} for i = 2..n (the scalar second-order operator data)."""
         return [row[0] for row in self.coeffs[1:]]
-
-    def scalar_operator(self):
-        return ScalarOperator(self.w_poly, self.scalar_parts())
-
-
-@dataclass
-class ScalarOperator:
-    """Second-order Fuchsian operator with scalar numerator coefficients."""
-    w_poly: UniPoly
-    c0: list
-
-    def numerator_poly_coeffs(self):
-        """Coefficients of sum_{i>=2} c_{i0} u^{n-i}, ascending in u."""
-        n = self.w_poly.degree()
-        out = [0] * max(n - 1, 0)
-        for offset, c in enumerate(self.c0):
-            out[n - 2 - offset] = c
-        return out
 
 
 def decompose_in_nilpotent_powers(mat_num, n_mat, tol):

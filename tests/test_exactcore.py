@@ -12,7 +12,7 @@ from bethe_gl2.errors import (NotInvertibleError, RingMismatchError,
                               ShapeError, TheoremViolationError)
 from bethe_gl2.linalg import (Matrix, algebra_closure, charpoly,
                               generalized_eigenspace, kernel_basis,
-                              minimal_polynomial, solve_unique)
+                              minimal_polynomial, rank, rref, solve_unique)
 from bethe_gl2.multipoly import MultiPoly
 from bethe_gl2.nilpotent import NilpotentElement, nilpotent_invert
 from bethe_gl2.numeric import joint_generalized_eigenspaces, snap_to_rational
@@ -238,6 +238,94 @@ def test_kernel_reduced_echelon():
     from bethe_gl2.linalg import rref
     reduced, _ = rref(basis)
     assert reduced == basis
+
+
+def _reference_kernel(mat):
+    """RREF basis of ker mat: null vectors of rref(mat), reduced again."""
+    m, pivots = rref(mat.data)
+    vectors = []
+    for fc in (c for c in range(mat.cols) if c not in pivots):
+        v = [Fraction(0)] * mat.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        vectors.append(v)
+    reduced, _ = rref(vectors) if vectors else ([], [])
+    return [row for row in reduced if any(x != 0 for x in row)]
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Random rows x cols rational matrices of rank at most inner."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    inner = draw(st.integers(1, max(rows, cols)))
+    left = draw(st.lists(st.lists(fractions_st, min_size=inner,
+                                  max_size=inner),
+                         min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(fractions_st, min_size=cols,
+                                   max_size=cols),
+                          min_size=inner, max_size=inner))
+    return Matrix(left) * Matrix(right)
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_matrices())
+def test_kernel_basis_is_reduced_echelon_kernel(mat):
+    basis = kernel_basis(mat)
+    assert len(basis) == mat.cols - rank(mat)
+    for vec in basis:
+        assert all(x == 0 for x in mat.apply(vec))
+    if basis:
+        assert rref(basis)[0] == basis
+    assert basis == _reference_kernel(mat)
+
+
+@st.composite
+def planted_jordan(draw):
+    """(P J P^-1, [(eigenvalue, size)]) for the Jordan blocks planted in J.
+
+    The dimension is at most 8.
+    """
+    eigenvalues = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3,
+                                unique=True))
+    sizes = draw(st.lists(
+        st.tuples(st.sampled_from(eigenvalues), st.integers(1, 3)),
+        min_size=1, max_size=4).filter(
+            lambda bs: sum(size for _, size in bs) <= 8))
+    dim = sum(size for _, size in sizes)
+    jordan = Matrix.zeros(dim, dim)
+    start = 0
+    for lam, size in sizes:
+        for i in range(start, start + size):
+            jordan.data[i][i] = Fraction(lam)
+            if i > start:
+                jordan.data[i - 1][i] = Fraction(1)
+        start += size
+    # P = L U with unit triangular factors is always invertible.
+    lower, upper = Matrix.identity(dim), Matrix.identity(dim)
+    for i in range(dim):
+        for j in range(i):
+            lower.data[i][j] = draw(fractions_st)
+            upper.data[j][i] = draw(fractions_st)
+    p = lower * upper
+    p_inv = Matrix.from_columns([
+        solve_unique(p, [int(i == j) for i in range(dim)])
+        for j in range(dim)])
+    return p * jordan * p_inv, sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_jordan(), st.integers(1, 4))
+def test_generalized_eigenspace_matches_explicit_power(planted, exponent):
+    m, blocks = planted
+    n = m.rows
+    for lam in sorted({x for x, _ in blocks}) + [3]:
+        shifted = m - lam * Matrix.identity(n)
+        full = generalized_eigenspace(m, lam)
+        assert full.columns() == _reference_kernel(shifted ** n)
+        assert full.cols == sum(size for x, size in blocks if x == lam)
+        partial = generalized_eigenspace(m, lam, exponent=exponent)
+        assert partial.columns() == _reference_kernel(shifted ** exponent)
 
 
 def test_charpoly_and_minpoly():

@@ -1,18 +1,23 @@
 """Spectral layer: blocks, triangular bases, leaves, leaf operators,
 singular matching, and the polynomial-pair roundtrip."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from bethe_gl2.errors import GenericityError
+from bethe_gl2 import spectral
+from bethe_gl2.betheop import KMatrix
+from bethe_gl2.errors import GenericityError, TheoremViolationError
 from bethe_gl2.gl2rep import syt_count
-from bethe_gl2.linalg import rank
-from bethe_gl2.spectral import (block_eigenvalue, leaf_from_polynomials,
-                                numeric_leaf_scalars,
-                                singular_spectrum_match,
-                                triangular_block_basis)
+from bethe_gl2.linalg import Matrix, rank
+from bethe_gl2.spectral import (block_eigenvalue,
+                                deformed_isotypical_decomposition,
+                                leaf_from_polynomials, numeric_leaf_scalars,
+                                restrict_exact, singular_spectrum_match,
+                                triangular_block_basis, weight_labels)
 from bethe_gl2.unipoly import UniPoly
 
 from conftest import blocks_for, leaves_for, module_for
@@ -42,6 +47,64 @@ def test_blocks_exhaust_space_up_to_n5():
         assert sum(b.dim for b in blocks) == 2 ** n
         for b in blocks:
             assert b.dim == (b.weight.d + 1) * syt_count(b.weight)
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded read-only for its recorded pools."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_blocks_reproduce_recorded_digests():
+    # Fixed point: the 48 recorded n = 4 modules keep their block and
+    # triangular-basis digests (sha256 of the exact entries).
+    workload = _benchmark_workloads().WORKLOADS["blocks_exact"]
+    pool = workload.load_pool()
+    assert len(pool) == 48
+    mismatched = [i for i, entry in enumerate(pool)
+                  if not workload.check(entry, workload.op(entry))]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("label", ["nilpotent", "zero"])
+def test_overstated_tableau_count_is_a_theorem_violation(monkeypatch, label):
+    # The block dimensions certify that each ker (B22 - lam)^e is the whole
+    # generalized eigenspace; a wrong expectation must not pass silently.
+    module = module_for([0, 1, 2])
+    kmat = KMatrix.nilpotent() if label == "nilpotent" else KMatrix.zero()
+    real_count = spectral.syt_count
+    for target in weight_labels(module.n):
+        monkeypatch.setattr(
+            spectral, "syt_count",
+            lambda w, target=target: real_count(w) + (w == target))
+        with pytest.raises(TheoremViolationError):
+            deformed_isotypical_decomposition(module, kmat)
+
+
+def test_blocks_share_their_operator_and_restrict_u_linearly():
+    # U restricted to a block equals the cofactor-weighted sum of the
+    # restricted residues, exactly.
+    for points in ([0, 1, 2], [Fraction(-3, 2), Fraction(1, 3), 2, 7]):
+        module = module_for(points)
+        for kmat in (KMatrix.nilpotent(), KMatrix.zero()):
+            blocks = deformed_isotypical_decomposition(module, kmat)
+            op = blocks[0].operator
+            assert all(b.operator is op for b in blocks)
+            for block in blocks:
+                residues = [restrict_exact(res, block.basis, block.pivots)
+                            for res in op.series.residues]
+                for i, u in enumerate(block.u_restricted(), start=1):
+                    total = Matrix.zeros(block.dim, block.dim)
+                    for s, res in enumerate(residues):
+                        cofactor = UniPoly.from_roots(
+                            [p for t, p in enumerate(module.points)
+                             if t != s])
+                        weight = cofactor.coefficient(module.n - i)
+                        total = total + weight * res
+                    assert u == total
 
 
 def test_plain_blocks_are_weight_compatible_eigenspaces():
