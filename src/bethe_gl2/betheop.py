@@ -9,7 +9,8 @@ representation and are asserted to vanish at assembly time, by the same
 compositions.  The standard-generator coefficients and the polynomial pair
 (W, U) of the second-order operator are summed from the sparse residues and
 become dense `Matrix` objects once, when handed out.  Everything, including
-the identity checks of the commutative family, is exact over Q.
+the identity checks of the commutative family, is exact over Q; the same
+residue and U assembly also runs on mpmath points (numeric roundtrip).
 """
 
 from dataclasses import dataclass
@@ -105,18 +106,18 @@ def _add_term(acc, weight, term):
         acc[key] = acc.get(key, 0) + weight
 
 
-def bethe_b2_series(module: EvalModule, kmat: KMatrix) -> OperatorSeries:
-    """Second series, assembled per-site with exact sparse residues.
+def b2_residues(module: EvalModule, points, k21):
+    """Sparse per-site residues of the second series at the given points.
 
     Every product of single-site generators is a composition of partial
     maps (each generator has at most one nonzero per column), so a residue
-    costs O(n 2^n) rather than dense 2^n x 2^n products.  The double-pole
-    residue at each point is e11 e22 - e21 e12 + e22 acting in one factor,
-    which vanishes on the vector representation; a nonzero value indicates
-    corrupted state and is a hard error.
+    costs O(n 2^n) rather than dense 2^n x 2^n products.  The module gives
+    only the site maps, so the points may be Fractions or mpmath floats.
+    The double-pole residue at each point is e11 e22 - e21 e12 + e22 acting
+    in one factor, which vanishes on the vector representation; a nonzero
+    value indicates corrupted state and is a hard error.
     """
     n = module.n
-    pts = module.points
     site = module.site_map
     residues = []
     for s in range(n):
@@ -126,20 +127,39 @@ def bethe_b2_series(module: EvalModule, kmat: KMatrix) -> OperatorSeries:
         _add_term(double, 1, site(2, 2, s))
         if any(x != 0 for x in double.values()):
             raise InternalConsistencyError(
-                f"double-pole residue at point {pts[s]} did not cancel")
+                f"double-pole residue at point {points[s]} did not cancel")
         acc = {}
         for t in range(n):
             if t == s:
                 continue
-            weight = Fraction(1) / (pts[s] - pts[t])
+            weight = 1 / (points[s] - points[t])
             _add_term(acc, weight, _compose(site(1, 1, s), site(2, 2, t)))
             _add_term(acc, weight, _compose(site(1, 1, t), site(2, 2, s)))
             _add_term(acc, -weight, _compose(site(2, 1, s), site(1, 2, t)))
             _add_term(acc, -weight, _compose(site(2, 1, t), site(1, 2, s)))
-        if kmat.k21 != 0:
-            _add_term(acc, -kmat.k21, site(2, 1, s))
+        if k21 != 0:
+            _add_term(acc, -k21, site(2, 1, s))
         residues.append({key: x for key, x in acc.items() if x != 0})
-    return OperatorSeries(module, residues, "B2")
+    return residues
+
+
+def u_coefficients(points, residues):
+    """Sparse U_1..U_n: U_i = sum_s [u^{n-i}] cofactor_s * residue_s.
+
+    cofactor_s = prod_{t != s} (u - b_t); generic over the scalar type of
+    the points, like b2_residues.
+    """
+    n = len(points)
+    cofactors = [UniPoly.from_roots(
+        [p for t, p in enumerate(points) if t != s]) for s in range(n)]
+    return [_combine([c.coefficient(n - i) for c in cofactors], residues)
+            for i in range(1, n + 1)]
+
+
+def bethe_b2_series(module: EvalModule, kmat: KMatrix) -> OperatorSeries:
+    """Second series, assembled per-site with exact sparse residues."""
+    return OperatorSeries(
+        module, b2_residues(module, module.points, kmat.k21), "B2")
 
 
 class UniversalOperator:
@@ -165,15 +185,10 @@ class UniversalOperator:
     def u_list(self):
         """The dense U_1..U_n, built on first use."""
         if self._u_list is None:
-            n = self.module.n
-            cofactors = [UniPoly.from_roots(
-                [p for t, p in enumerate(self.module.points) if t != s])
-                for s in range(n)]
-            # U_i = sum_s [u^{n-i}] cofactor_s * residue_s.
+            dim = self.module.dim
             self._u_list = [
-                self.series.combination(
-                    [c.coefficient(n - i) for c in cofactors])
-                for i in range(1, n + 1)]
+                Matrix.from_entries(dim, dim, u) for u in u_coefficients(
+                    self.module.points, self.series.sparse_residues)]
         return self._u_list
 
     @property

@@ -30,6 +30,14 @@ def to_mp(mat: Matrix) -> mpmath.matrix:
     return out
 
 
+def sparse_to_mp(dim, entries) -> mpmath.matrix:
+    """Dense dim x dim mpmath matrix from sparse {(row, col): value} entries."""
+    out = mpmath.matrix(dim, dim)
+    for (i, j), x in entries.items():
+        out[i, j] = x
+    return out
+
+
 def snap_to_rational(value, precision, max_denominator=10 ** 6):
     """Nearest small-denominator rational, or None when not close enough.
 
@@ -53,14 +61,6 @@ def _orthonormal_columns(b):
     for i in range(b.rows):
         for j in range(b.cols):
             out[i, j] = q[i, j]
-    return out
-
-
-def _conj_transpose(a):
-    out = mpmath.matrix(a.cols, a.rows)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[j, i] = mpmath.conj(a[i, j])
     return out
 
 
@@ -154,13 +154,25 @@ def _restrict(m_num, basis):
 
     Raises PrecisionInsufficientError when the span is visibly not invariant.
     """
-    bh = _conj_transpose(basis)
+    bh = conj_transpose(basis)
     r = bh * (m_num * basis)
     residual = m_num * basis - basis * r
     scale = mpmath.mnorm(m_num, 1) + 1
     if mpmath.mnorm(residual, 1) > mpmath.mpf(2) ** (-mp.prec // 4) * scale:
         raise PrecisionInsufficientError("subspace not numerically invariant")
     return r
+
+
+def block_restrictions(mats_num, kernel_of, dim):
+    """Restrictions of mats_num to the dim-dimensional kernel of kernel_of.
+
+    The kernel's singular-value bound and gap, and the invariance of its
+    span under every matrix, are checked; a failure of either is a
+    PrecisionInsufficientError.  Must run inside an mp.workprec block.
+    """
+    slack = mpmath.mpf(2) ** (-(mp.prec // 4))
+    basis = _orthonormal_columns(_kernel_columns(kernel_of, dim, slack))
+    return [_restrict(m, basis) for m in mats_num]
 
 
 def _merge_radius(subdim, scale):
@@ -175,7 +187,7 @@ def _merge_radius(subdim, scale):
     return scale * mpmath.mpf(2) ** (-(mp.prec // (2 * m)))
 
 
-def joint_split_mp(mats_num, tol):
+def joint_split_mp(mats_num):
     """Joint generalized eigenspace split of pre-converted mpmath matrices.
 
     Must run inside an mp.workprec block.  Returns (eigenvalue tuple, basis)
@@ -237,7 +249,7 @@ def joint_split_mp(mats_num, tol):
     return spaces
 
 
-def joint_generalized_eigenspaces(mats, precision=DEFAULT_PRECISION, tol=None):
+def joint_generalized_eigenspaces(mats, precision=DEFAULT_PRECISION):
     """Common generalized eigenspace decomposition of commuting matrices.
 
     mats are exact; commutativity is checked exactly before any numeric
@@ -257,9 +269,7 @@ def joint_generalized_eigenspaces(mats, precision=DEFAULT_PRECISION, tol=None):
                 raise TheoremViolationError(
                     f"matrices {i} and {j} do not commute exactly")
     with mp.workprec(precision):
-        if tol is None:
-            tol = default_tolerance(precision)
-        return joint_split_mp([to_mp(m) for m in mats], tol)
+        return joint_split_mp([to_mp(m) for m in mats])
 
 
 def with_precision_escalation(fn, precision=DEFAULT_PRECISION,

@@ -13,15 +13,17 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .betheop import KMatrix, UniversalOperator, universal_operator
+from .betheop import (KMatrix, UniversalOperator, b2_residues, u_coefficients,
+                      universal_operator)
 from .errors import (GenericityError, MatchCountError,
                      PrecisionInsufficientError, TheoremViolationError)
 from .gl2rep import EvalModule, WeightLabel, singular_subspace, syt_count
 from .linalg import (Matrix, charpoly, generalized_eigenspace, kernel_basis,
                      rref, same_row_space)
-from .numeric import (MAX_PRECISION, default_tolerance, joint_split_mp,
-                      joint_generalized_eigenspaces, lstsq_mp,
-                      snap_to_rational, to_mp, with_precision_escalation)
+from .numeric import (MAX_PRECISION, block_restrictions, conj_transpose,
+                      default_tolerance, joint_generalized_eigenspaces,
+                      joint_split_mp, lstsq_mp, snap_to_rational,
+                      sparse_to_mp, to_mp, with_precision_escalation)
 from .unipoly import UniPoly, is_squarefree, poly_wronskian
 
 
@@ -238,16 +240,8 @@ class EigenLeaf:
     def restrict(self, exact_matrix_on_block):
         """Numeric restriction of an exact block matrix to the leaf."""
         m_num = to_mp(exact_matrix_on_block)
-        bh = _conj_transpose_mp(self.basis)
+        bh = conj_transpose(self.basis)
         return bh * (m_num * self.basis)
-
-
-def _conj_transpose_mp(a):
-    out = mpmath.matrix(a.cols, a.rows)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[j, i] = mpmath.conj(a[i, j])
-    return out
 
 
 def _matrix_norm(a):
@@ -267,13 +261,13 @@ def eigenleaf_decomposition(block: IsotypicBlock, precision=128):
         with mp.workprec(prec):
             tol = default_tolerance(prec)
             if mats:
-                spaces = joint_split_mp([to_mp(m) for m in mats], tol)
+                spaces = joint_split_mp([to_mp(m) for m in mats])
             else:
                 spaces = [((), mpmath.eye(block.dim))]
             leaves = []
             n1 = to_mp(u_ops[0]) if u_ops else mpmath.eye(block.dim)
             for values, basis in spaces:
-                bh = _conj_transpose_mp(basis)
+                bh = conj_transpose(basis)
                 n_mat = bh * (n1 * basis)
                 d = basis.cols - 1
                 power = mpmath.eye(basis.cols)
@@ -548,6 +542,11 @@ def _match_vectors(left, right, tol):
 
 @dataclass
 class RoundtripResult:
+    """The matched leaf of a polynomial pair.
+
+    matched_index counts the leaves of all blocks in block order (the
+    leaves of lower k first); leaf_scalars lists only the target block's.
+    """
     mode: str
     points: list
     match_count: int
@@ -563,7 +562,9 @@ def leaf_from_polynomials(f0: UniPoly, g0: UniPoly, precision=128,
     The evaluation points are the roots of the Wronskian normalized by its
     actual leading coefficient.  Rational roots give the exact pipeline;
     irrational (real) roots switch to the numeric-module pipeline, flagged
-    by mode="numeric".
+    by mode="numeric".  Every leaf has c_20 equal to its block eigenvalue
+    k(n-k+1), distinct for k <= n/2, so only the block of weight (n-k, k)
+    with k = deg f0 can hold the match and only that block is split.
     """
     k = f0.degree()
     n = k + g0.degree() - 1
@@ -582,9 +583,10 @@ def leaf_from_polynomials(f0: UniPoly, g0: UniPoly, precision=128,
     target_poly = poly_wronskian(f0.derivative(), g0.derivative()).scale(
         Fraction(1) / lc)
     target = [target_poly.coefficient(n - i) for i in range(2, n + 1)]
+    weight = WeightLabel(n - k, k)
+    offset = sum(syt_count(WeightLabel(n - j, j)) for j in range(k))
     match_tol = mpmath.mpf(2) ** (-match_tol_exponent)
     with mp.workprec(precision):
-        tol = default_tolerance(precision)
         roots = mpmath.polyroots(
             [mpmath.mpmathify(wr_monic.coefficient(p))
              for p in range(n, -1, -1)], maxsteps=200, extraprec=precision)
@@ -597,18 +599,17 @@ def leaf_from_polynomials(f0: UniPoly, g0: UniPoly, precision=128,
         if all(s is not None for s in snapped) and \
                 all(wr_monic(s) == 0 for s in snapped) and \
                 len(set(snapped)) == n:
-            module = EvalModule(n, snapped)
-            scalars = []
-            for block in deformed_isotypical_decomposition(
-                    module, KMatrix.nilpotent()):
-                for leaf in eigenleaf_decomposition(block, precision):
-                    op = leaf_operator(leaf)
-                    scalars.append([mpmath.mpmathify(c)
-                                    for c in op.scalar_parts()])
+            blocks = deformed_isotypical_decomposition(
+                EvalModule(n, snapped), KMatrix.nilpotent())
+            scalars = [[mpmath.mpmathify(c)
+                        for c in leaf_operator(leaf).scalar_parts()]
+                       for leaf in eigenleaf_decomposition(blocks[k],
+                                                           precision)]
             mode, points = "exact", snapped
         else:
             entries = with_precision_escalation(
-                lambda prec: numeric_leaf_scalars(reals, prec), precision)
+                lambda prec: numeric_leaf_scalars(reals, prec, weight),
+                precision)
             scalars = [entry["scalars"] for entry in entries]
             mode, points = "numeric", reals
         matches = []
@@ -616,7 +617,7 @@ def leaf_from_polynomials(f0: UniPoly, g0: UniPoly, precision=128,
             dist = max((abs(c - mpmath.mpmathify(t))
                         for c, t in zip(cs, target)), default=mpmath.mpf(0))
             if dist < match_tol:
-                matches.append(idx)
+                matches.append(offset + idx)
     if len(matches) != 1:
         raise MatchCountError(
             f"{len(matches)} leaves matched the scalar operator")
@@ -624,65 +625,33 @@ def leaf_from_polynomials(f0: UniPoly, g0: UniPoly, precision=128,
                            target, scalars)
 
 
-def numeric_leaf_scalars(points_mpf, precision):
-    """Leaf scalar data over a numeric evaluation module (irrational points).
+def numeric_leaf_scalars(points_mpf, precision, weight):
+    """Leaf scalar data of one deformed block of a numeric evaluation module.
 
-    Assembles the per-site residues in mpmath arithmetic, splits the whole
-    space by the joint family, and reports per leaf the dimension and the
-    scalar parts of U_2..U_n.
+    The residues and U_1..U_n come from the exact sparse assembly run on
+    mpf points.  The block of the given weight is the numeric kernel of
+    (U_2 - lam)^(d+1) at its known dimension (d+1) * syt_count; the integer
+    gaps between block eigenvalues keep that kernel well conditioned.  On
+    the block U_2 is lam plus a nilpotent, so only U_3..U_n split it.
+    Reports per leaf the dimension and the scalar parts of U_2..U_n.
     """
     n = len(points_mpf)
-    structure = EvalModule(n, list(range(n)))
+    structure = EvalModule(n, range(n))
     with mp.workprec(precision):
-        tol = default_tolerance(precision)
         pts = [mpmath.mpmathify(p) for p in points_mpf]
-        site = {}
-        for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            for s in range(n):
-                site[(a, b, s)] = to_mp(structure.site_matrix(a, b, s))
-        dim = structure.dim
-        residues = []
-        for s in range(n):
-            acc = mpmath.zeros(dim, dim)
-            for t in range(n):
-                if t == s:
-                    continue
-                w = 1 / (pts[s] - pts[t])
-                cross = (site[(1, 1, s)] * site[(2, 2, t)]
-                         + site[(1, 1, t)] * site[(2, 2, s)]
-                         - site[(2, 1, s)] * site[(1, 2, t)]
-                         - site[(2, 1, t)] * site[(1, 2, s)])
-                acc += w * cross
-            acc += site[(2, 1, s)]
-            residues.append(acc)
-        u_mats = []
-        for i in range(1, n + 1):
-            acc = mpmath.zeros(dim, dim)
-            for s in range(n):
-                cofactor = _poly_from_roots_mp(
-                    [p for t, p in enumerate(pts) if t != s])
-                acc += cofactor[n - i] * residues[s]
-            u_mats.append(acc)
-        spaces = joint_split_mp(u_mats[1:], tol) if n >= 2 else [
+        residues = b2_residues(structure, pts, KMatrix.nilpotent().k21)
+        u_mats = [sparse_to_mp(structure.dim, u)
+                  for u in u_coefficients(pts, residues)]
+        lam = mpmath.mpmathify(block_eigenvalue(weight))
+        shifted = u_mats[1] - lam * mpmath.eye(structure.dim)
+        dim = (weight.d + 1) * syt_count(weight)
+        block_u = block_restrictions(u_mats, shifted ** (weight.d + 1), dim)
+        spaces = joint_split_mp(block_u[2:]) if n > 2 else [
             ((), mpmath.eye(dim))]
         out = []
-        for values, basis in spaces:
-            bh = _conj_transpose_mp(basis)
-            entry = {"dim": basis.cols, "values": values}
-            entry["scalars"] = [
-                sum((bh * (u_mats[i] * basis))[r, r]
-                    for r in range(basis.cols)) / basis.cols
-                for i in range(1, n)]
-            out.append(entry)
+        for _, basis in spaces:
+            bh = conj_transpose(basis)
+            out.append({"dim": basis.cols, "scalars": [
+                sum((bh * (u * basis))[r, r] for r in range(basis.cols))
+                / basis.cols for u in block_u[1:]]})
         return out
-
-
-def _poly_from_roots_mp(roots):
-    coeffs = [mpmath.mpf(1)]
-    for r in roots:
-        nxt = [mpmath.mpf(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * (-r)
-            nxt[i + 1] += c
-        coeffs = nxt
-    return coeffs

@@ -7,12 +7,15 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from mpmath import mp
 
 from bethe_gl2 import spectral
-from bethe_gl2.betheop import KMatrix
+from bethe_gl2.betheop import KMatrix, b2_residues, u_coefficients
 from bethe_gl2.errors import GenericityError, TheoremViolationError
-from bethe_gl2.gl2rep import syt_count
+from bethe_gl2.gl2rep import EvalModule, syt_count
 from bethe_gl2.linalg import Matrix, rank
+from bethe_gl2.numeric import (conj_transpose, joint_split_mp, sparse_to_mp,
+                               with_precision_escalation)
 from bethe_gl2.spectral import (block_eigenvalue,
                                 deformed_isotypical_decomposition,
                                 leaf_from_polynomials, numeric_leaf_scalars,
@@ -244,18 +247,67 @@ def test_roundtrip_complex_roots_rejected():
         leaf_from_polynomials(UniPoly([1]), UniPoly([0, 3, 0, 1]))
 
 
+def test_roundtrip_numeric_middle_block():
+    # k = n/2: the target block (2,2) has d = 0, so U_2 is scalar on it and
+    # must not drive the split; the index counts the 1 + 3 leaves of the
+    # blocks (4,0) and (3,1) first.
+    result = leaf_from_polynomials(UniPoly([3, 3, 1]),
+                                   UniPoly([-2, -2, -3, 1]))
+    assert (result.mode, result.match_count, result.matched_index) == \
+        ("numeric", 1, 4)
+
+
+def _sorted_scalars(pairs):
+    # sorted on float keys, so that c_20 = lam (exact) and lam + eps
+    # (numeric) tie and the later scalars decide
+    rows = [(dim, [mpmath.re(mpmath.mpmathify(c)) for c in scalars])
+            for dim, scalars in pairs]
+    return sorted(rows, key=lambda row: (row[0], [float(c) for c in row[1]]))
+
+
 def test_numeric_leaf_scalars_against_exact():
-    # integer points through the numeric pipeline agree with exact leaves
-    points = [Fraction(0), Fraction(1)]
-    entries = numeric_leaf_scalars([mpmath.mpf(0), mpmath.mpf(1)], 128)
-    got = sorted((e["dim"], [float(x.real if hasattr(x, "real") else x)
-                             for x in e["scalars"]]) for e in entries)
-    assert [g[0] for g in got] == [1, 3]
-    exact = []
-    for index, block in enumerate(blocks_for([0, 1])):
-        for leaf, op in leaves_for([0, 1], index):
-            exact.append((leaf.dim, [float(c) for c in op.scalar_parts()]))
-    for (dim_a, vals_a), (dim_b, vals_b) in zip(got, sorted(exact)):
-        assert dim_a == dim_b
-        for a, b in zip(vals_a, vals_b):
-            assert abs(a - b) < 1e-25
+    # integer points through the numeric pipeline agree with the exact
+    # leaves, block by block
+    for points in ([0, 1], [0, 1, 3]):
+        for index, block in enumerate(blocks_for(points)):
+            entries = numeric_leaf_scalars(
+                [mpmath.mpf(p) for p in points], 128, block.weight)
+            got = _sorted_scalars((e["dim"], e["scalars"]) for e in entries)
+            exact = _sorted_scalars((leaf.dim, op.scalar_parts())
+                                    for leaf, op in leaves_for(points, index))
+            assert [dim for dim, _ in got] == [dim for dim, _ in exact]
+            for (_, vals_a), (_, vals_b) in zip(got, exact):
+                assert max(abs(a - b) for a, b in zip(vals_a, vals_b)) < 1e-25
+
+
+def _whole_space_scalars(points, precision):
+    """Oracle: split all of 2^n by U_2..U_n, trace scalars per leaf."""
+    n = len(points)
+    structure = EvalModule(n, range(n))
+    with mp.workprec(precision):
+        residues = b2_residues(structure, points, KMatrix.nilpotent().k21)
+        u_mats = [sparse_to_mp(structure.dim, u)
+                  for u in u_coefficients(points, residues)]
+        out = []
+        for _, basis in joint_split_mp(u_mats[1:]):
+            bh = conj_transpose(basis)
+            out.append([sum((bh * (u * basis))[r, r]
+                            for r in range(basis.cols)) / basis.cols
+                        for u in u_mats[1:]])
+        return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_block_scalars_match_whole_space_split(n):
+    # the per-block pipeline reproduces the whole-space split, leaf by
+    # leaf and in the same order, which keeps roundtrip indices global
+    with mp.workprec(128):
+        points = [mpmath.sqrt(2), -mpmath.sqrt(3), mpmath.mpf(5) / 7,
+                  mpmath.pi][:n]
+    whole = with_precision_escalation(
+        lambda prec: _whole_space_scalars(points, prec), 128)
+    per_block = [entry["scalars"] for weight in weight_labels(n)
+                 for entry in numeric_leaf_scalars(points, 128, weight)]
+    assert len(per_block) == len(whole)
+    for a, b in zip(per_block, whole):
+        assert max(abs(x - y) for x, y in zip(a, b)) < 1e-30
