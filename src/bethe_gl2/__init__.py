@@ -14,7 +14,6 @@ PrecFloat = mpf
 from .linalg import Matrix, generalized_eigenspace
 from .multipoly import MultiPoly
 from .nilpotent import NilpotentElement, nilpotent_invert
-from .numeric import joint_generalized_eigenspaces
 from .qseries import QSeries, qseries_pochhammer
 from .unipoly import UniPoly, poly_wronskian
 
@@ -27,7 +26,6 @@ __all__ = [
     "Rational",
     "UniPoly",
     "generalized_eigenspace",
-    "joint_generalized_eigenspaces",
     "nilpotent_invert",
     "poly_wronskian",
     "qseries_pochhammer",

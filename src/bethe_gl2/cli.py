@@ -18,6 +18,7 @@ import mpmath
 from .betheop import KMatrix, universal_operator
 from .errors import BetheGl2Error, InternalConsistencyError
 from .gl2rep import EvalModule, brute_isotypical_character, char_isotypical_closed
+from .numeric import DEFAULT_PRECISION
 from .olambda import character_olambda, universal_operator_data
 from .serialize import (fraction_to_str, matrix_to_json, nilpotent_to_json,
                         qseries_to_json, str_to_fraction, unipoly_to_json)
@@ -69,7 +70,7 @@ def _precision(args):
             return int(env)
         except ValueError:
             _fail_usage(f"BETHE_GL2_PRECISION={env!r} is not an integer")
-    return 128
+    return DEFAULT_PRECISION
 
 
 def cmd_operator(args):
@@ -299,24 +300,19 @@ def build_parser():
     p.add_argument("--points", help="JSON file or comma-separated rationals")
     p.add_argument("--k-matrix", choices=("zero", "nilpotent"),
                    default="nilpotent")
-    p.add_argument("--json", action="store_true", default=True)
     p.add_argument("--output")
     p.set_defaults(func=cmd_operator)
 
-    for name, help_text in (("decompose", "blocks, leaves and coefficients"),
-                            ("leaves", "per-leaf spectral data")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int)
-        p.add_argument("--points")
-        p.add_argument("--precision", type=int)
-        p.add_argument("--json", action="store_true", default=True)
-        p.add_argument("--output")
-        p.set_defaults(func=cmd_decompose)
+    p = sub.add_parser("decompose", help="blocks, leaves and coefficients")
+    p.add_argument("--n", type=int)
+    p.add_argument("--points")
+    p.add_argument("--precision", type=int)
+    p.add_argument("--output")
+    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("eliminate", help="tail elimination at (k, d)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--json", action="store_true", default=True)
     p.add_argument("--output")
     p.set_defaults(func=cmd_eliminate)
 
@@ -325,7 +321,6 @@ def build_parser():
     p.add_argument("--k", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--order", type=int, default=10)
-    p.add_argument("--json", action="store_true", default=True)
     p.add_argument("--output")
     p.set_defaults(func=cmd_character)
 
@@ -341,7 +336,6 @@ def build_parser():
                    help="worker processes (default: logical cores)")
     p.add_argument("--timings", action="store_true")
     p.add_argument("--config", help="JSON config file (same field names)")
-    p.add_argument("--json", action="store_true", default=True)
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
 

@@ -23,11 +23,11 @@ from .linalg import (Matrix, algebra_closure, cyclic_vector_exists,
                      ideal_span, solve_unique)
 from .multipoly import MultiPoly
 from .nilpotent import NilpotentElement
-from .numeric import default_tolerance, lstsq_mp
+from .numeric import DEFAULT_PRECISION, default_tolerance, lstsq_mp
 from .olambda import OLambdaData
 from .spectral import (LeafOperator, deformed_isotypical_decomposition,
                        decompose_in_nilpotent_powers, eigenleaf_decomposition,
-                       singular_restriction, _match_vectors)
+                       singular_restriction, singular_spectrum_identity)
 from .unipoly import UniPoly, laurent_at_infinity, poly_wronskian
 
 
@@ -51,7 +51,7 @@ def _indicial_value(alpha, n, v0):
 
 
 def construct_solutions(w_poly: UniPoly, u_elements, k, d,
-                        precision=128) -> SolutionPair:
+                        precision=DEFAULT_PRECISION) -> SolutionPair:
     """Solve the second-order equation level by level in the nilpotent.
 
     u_elements are U_1..U_n as truncated-ring elements with U_1 = b exactly;
@@ -227,7 +227,8 @@ def _numeric_trim(poly: UniPoly, precision) -> UniPoly:
     return UniPoly(list(poly.coeffs[:top]))
 
 
-def solution_wronskian_check(pair: SolutionPair, w_poly, precision=128):
+def solution_wronskian_check(pair: SolutionPair, w_poly,
+                             precision=DEFAULT_PRECISION):
     """Wr(F, G) is a unit multiple of W, so the pair spans the whole kernel.
 
     The unit is the leading coefficient of the pair Wronskian; it starts at
@@ -274,7 +275,7 @@ class SpecialHom:
     exact: bool
     max_relation_residual: object
 
-    def apply(self, element: NilpotentElement, precision=128):
+    def apply(self, element: NilpotentElement, precision=DEFAULT_PRECISION):
         """Image of a normal-form element under the homomorphism."""
         d = self.d
         one = NilpotentElement.constant(d, Fraction(1))
@@ -292,7 +293,8 @@ class SpecialHom:
         return total
 
 
-def special_hom_from_solutions(pair: SolutionPair, precision=128) -> SpecialHom:
+def special_hom_from_solutions(pair: SolutionPair,
+                               precision=DEFAULT_PRECISION) -> SpecialHom:
     """Read off the homomorphism values and verify every tail relation.
 
     The coefficient of each ansatz slot of the solution pair is the value of
@@ -361,7 +363,7 @@ def _numeric_shift_down(x: NilpotentElement, power, precision):
             x.order, list(x.coeffs[power:]) + [Fraction(0)] * power)
 
 
-def specialness_check(pair: SolutionPair, precision=128):
+def specialness_check(pair: SolutionPair, precision=DEFAULT_PRECISION):
     """b-components of the pair Wronskian, literal and unit-normalized.
 
     The literal property asks the image of the ansatz Wronskian to be a
@@ -403,7 +405,7 @@ def specialness_check(pair: SolutionPair, precision=128):
 # ---------------------------------------------------------------------------
 
 def eta_matches_leaf(leaf_op: LeafOperator, data: OLambdaData,
-                     expansion_order=None, precision=128,
+                     expansion_order=None, precision=DEFAULT_PRECISION,
                      tol_exponent=40):
     """The special homomorphism of a leaf matches its expansion coefficients.
 
@@ -548,32 +550,28 @@ def regular_representation_check(module: EvalModule, seed=0):
 
 
 def nu_consistency_check(module: EvalModule, weight: WeightLabel,
-                         precision=128, seed=0):
+                         precision=DEFAULT_PRECISION, seed=0):
     """Finite consequences of the twisted/plain comparison on one block.
 
-    (a) leaf scalar eigenvalues match the plain eigenvalues on the singular
-    space; (b) each twisted coefficient on a leaf is its scalar plus a
-    polynomial in the leaf nilpotent with zero constant term; (c) the exact
-    block algebra has the product structure sizes.
+    (a) the exact singular-spectrum identity of the block, for a seeded
+    random rational combination of the coefficients; (b) each twisted
+    coefficient on a leaf is its scalar plus a polynomial in the leaf
+    nilpotent with zero constant term; (c) the exact block algebra has the
+    product structure sizes.
     """
     blocks = deformed_isotypical_decomposition(module, KMatrix.nilpotent())
     block = next(b for b in blocks if b.weight == weight)
-    leaves = eigenleaf_decomposition(block, precision)
     failures = []
     _, sing_mats = singular_restriction(module, weight)
+    rng = random.Random(seed)
+    combo = [Fraction(rng.randint(1, 99), rng.randint(1, 9))
+             for _ in sing_mats]
+    failure = singular_spectrum_identity(block, sing_mats, combo)
+    if failure:
+        failures.append(failure)
+    leaves = eigenleaf_decomposition(block, precision)
     with mp.workprec(precision):
         tol = default_tolerance(precision)
-        if sing_mats:
-            from .numeric import joint_generalized_eigenspaces
-            sing_spaces = joint_generalized_eigenspaces(
-                sing_mats, precision=precision)
-            sing_vectors = [vals for vals, _ in sing_spaces]
-        else:
-            sing_vectors = [()]
-        leaf_vectors = [tuple(leaf.phi[j] for j in range(2, module.n + 1))
-                        for leaf in leaves]
-        if _match_vectors(leaf_vectors, sing_vectors, tol) is None:
-            failures.append("leaf/singular eigenvalue matching failed")
         slack = mpmath.mpf(2) ** (-(precision // 4))
         for idx, leaf in enumerate(leaves):
             for j in range(2, module.n + 1):

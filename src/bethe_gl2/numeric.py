@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .errors import PrecisionInsufficientError, ShapeError, TheoremViolationError
+from .errors import PrecisionInsufficientError
 from .linalg import Matrix
 
 DEFAULT_PRECISION = 128
@@ -247,29 +247,6 @@ def joint_split_mp(mats_num):
         raise PrecisionInsufficientError(
             f"basis union nearly singular (sigma_min = {smin})")
     return spaces
-
-
-def joint_generalized_eigenspaces(mats, precision=DEFAULT_PRECISION):
-    """Common generalized eigenspace decomposition of commuting matrices.
-
-    mats are exact; commutativity is checked exactly before any numeric
-    conversion.  Returns a list of (eigenvalue tuple, basis) pairs where each
-    basis is an orthonormal mpmath matrix of columns; the bases together span
-    the whole space (validated by a smallest-singular-value check).
-    """
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].rows
-    for m in mats:
-        if m.rows != m.cols or m.rows != n:
-            raise ShapeError("matrices must be square and of equal size")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not (mats[i] * mats[j] - mats[j] * mats[i]).is_zero():
-                raise TheoremViolationError(
-                    f"matrices {i} and {j} do not commute exactly")
-    with mp.workprec(precision):
-        return joint_split_mp([to_mp(m) for m in mats])
 
 
 def with_precision_escalation(fn, precision=DEFAULT_PRECISION,

@@ -7,6 +7,7 @@ precision with escalation.  Leaf data can be snapped back to rationals when
 a theorem guarantees rationality.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,10 +21,10 @@ from .errors import (GenericityError, MatchCountError,
 from .gl2rep import EvalModule, WeightLabel, singular_subspace, syt_count
 from .linalg import (Matrix, charpoly, generalized_eigenspace, kernel_basis,
                      rref, same_row_space)
-from .numeric import (MAX_PRECISION, block_restrictions, conj_transpose,
-                      default_tolerance, joint_generalized_eigenspaces,
-                      joint_split_mp, lstsq_mp, snap_to_rational,
-                      sparse_to_mp, to_mp, with_precision_escalation)
+from .numeric import (DEFAULT_PRECISION, MAX_PRECISION, block_restrictions,
+                      conj_transpose, default_tolerance, joint_split_mp,
+                      lstsq_mp, snap_to_rational, sparse_to_mp, to_mp,
+                      with_precision_escalation)
 from .unipoly import UniPoly, is_squarefree, poly_wronskian
 
 
@@ -248,7 +249,8 @@ def _matrix_norm(a):
     return mpmath.mnorm(a, 1) if a.rows and a.cols else mpmath.mpf(0)
 
 
-def eigenleaf_decomposition(block: IsotypicBlock, precision=128):
+def eigenleaf_decomposition(block: IsotypicBlock,
+                            precision=DEFAULT_PRECISION):
     """Split a block into eigenleaves at the given starting precision.
 
     The index family is the restriction of U_2..U_n; precision doubles on
@@ -441,7 +443,7 @@ def leaf_operator(leaf: EigenLeaf) -> LeafOperator:
 
 
 # ---------------------------------------------------------------------------
-# Singular spectrum matching
+# The singular spectrum
 # ---------------------------------------------------------------------------
 
 def singular_restriction(module: EvalModule, weight: WeightLabel):
@@ -459,20 +461,41 @@ def singular_restriction(module: EvalModule, weight: WeightLabel):
     return basis, mats
 
 
-def singular_spectrum_match(module: EvalModule, precision=128, seed=0):
-    """Simple singular spectrum plus leaf-eigenvalue matching per component.
+def singular_spectrum_identity(block: IsotypicBlock, sing_mats, coeffs):
+    """Exact link between a deformed block and the plain singular spectrum.
 
-    (a) a random rational combination of the plain coefficients restricted to
-    the singular space has a squarefree characteristic polynomial (exact);
-    (b) the leaf scalar eigenvalue vectors within each deformed block agree
-    with the plain eigenvalue vectors on the singular space, bijectively,
-    within tolerance.
+    Y is sum_j c_j B_{2j} on the block and Y0 the same combination of the
+    plain coefficients on the singular space (sing_mats and coeffs run over
+    j = 2..n).  charpoly(Y0) must be squarefree and charpoly(Y) must equal
+    charpoly(Y0)^(d+1): the leaves then have dimension d+1 and their scalars
+    are the points of the simple plain spectrum.  The minimal polynomial of
+    Y cannot stand in for charpoly(Y), since Y need not be regular (block
+    (2,0) at points -3, 3).  Returns a failure message, or None.
     """
-    import random
+    if not sing_mats:
+        return None
+    weight = block.weight
+    y = sum(c * block.bethe_restricted(j) for j, c in enumerate(coeffs, 2))
+    y0 = sum(c * m for c, m in zip(coeffs, sing_mats))
+    plain = charpoly(y0)
+    if not is_squarefree(plain):
+        return f"spectrum of {weight} combination not simple"
+    if charpoly(y) != plain ** (weight.d + 1):
+        return (f"block {weight} charpoly is not the singular charpoly "
+                "to the power d+1")
+    return None
+
+
+def singular_spectrum_match(module: EvalModule, seed=0):
+    """Singular dimensions and the exact singular-spectrum identity per block.
+
+    The singular space of each weight has dimension #SYT, and every deformed
+    block satisfies singular_spectrum_identity for a seeded random rational
+    combination of the coefficients.
+    """
     rng = random.Random(seed)
     blocks = deformed_isotypical_decomposition(module, KMatrix.nilpotent())
     failures = []
-    details = []
     for block in blocks:
         weight = block.weight
         basis, mats = singular_restriction(module, weight)
@@ -480,60 +503,13 @@ def singular_spectrum_match(module: EvalModule, precision=128, seed=0):
         if basis.cols != count:
             failures.append(f"sing dim {basis.cols} != {count} at {weight}")
             continue
-        if mats:
-            combo = Matrix.zeros(basis.cols, basis.cols)
-            for m in mats:
-                combo = combo + Fraction(rng.randint(1, 99), rng.randint(1, 9)) * m
-            if not is_squarefree(charpoly(combo)):
-                failures.append(f"spectrum of {weight} combination not simple")
-        leaves = eigenleaf_decomposition(block, precision)
-        with mp.workprec(precision):
-            tol = default_tolerance(precision)
-            if mats:
-                sing_spaces = joint_generalized_eigenspaces(
-                    mats, precision=precision)
-                sing_vectors = [vals for vals, _ in sing_spaces]
-            else:
-                sing_vectors = [()]
-            leaf_vectors = [
-                tuple(leaf.phi[j] for j in range(2, module.n + 1))
-                for leaf in leaves]
-            matched = _match_vectors(leaf_vectors, sing_vectors, tol)
-            if matched is None:
-                failures.append(f"eigenvalue matching failed at {weight}")
-            else:
-                details.append({
-                    "weight": (weight.lam1, weight.lam2),
-                    "pairs": matched})
+        coeffs = [Fraction(rng.randint(1, 99), rng.randint(1, 9))
+                  for _ in mats]
+        failure = singular_spectrum_identity(block, mats, coeffs)
+        if failure:
+            failures.append(failure)
     return {"name": "singular_spectrum_match", "pass": not failures,
-            "failures": failures, "details": details}
-
-
-def _match_vectors(left, right, tol):
-    """Nearest-neighbor bijection between equal-size eigenvalue tuples.
-
-    Returns index pairs, or None when sizes differ, a distance exceeds the
-    tolerance margin, or the assignment is not one-to-one.
-    """
-    if len(left) != len(right):
-        return None
-    margin = 1000 * tol
-    used = set()
-    pairs = []
-    for i, lv in enumerate(left):
-        best, best_dist = None, None
-        for j, rv in enumerate(right):
-            if j in used:
-                continue
-            dist = max((abs(a - mpmath.mpmathify(b))
-                        for a, b in zip(lv, rv)), default=mpmath.mpf(0))
-            if best_dist is None or dist < best_dist:
-                best, best_dist = j, dist
-        if best is None or best_dist > margin:
-            return None
-        used.add(best)
-        pairs.append((i, best))
-    return pairs
+            "failures": failures}
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +521,17 @@ class RoundtripResult:
     """The matched leaf of a polynomial pair.
 
     matched_index counts the leaves of all blocks in block order (the
-    leaves of lower k first); leaf_scalars lists only the target block's.
+    leaves of lower k first).
     """
     mode: str
     points: list
     match_count: int
     matched_index: int
     target_scalars: list
-    leaf_scalars: list
 
 
-def leaf_from_polynomials(f0: UniPoly, g0: UniPoly, precision=128,
+def leaf_from_polynomials(f0: UniPoly, g0: UniPoly,
+                          precision=DEFAULT_PRECISION,
                           match_tol_exponent=40):
     """Locate the unique leaf whose scalar operator is built from (f0, g0).
 
@@ -621,8 +597,7 @@ def leaf_from_polynomials(f0: UniPoly, g0: UniPoly, precision=128,
     if len(matches) != 1:
         raise MatchCountError(
             f"{len(matches)} leaves matched the scalar operator")
-    return RoundtripResult(mode, points, len(matches), matches[0],
-                           target, scalars)
+    return RoundtripResult(mode, points, len(matches), matches[0], target)
 
 
 def numeric_leaf_scalars(points_mpf, precision, weight):

@@ -24,6 +24,7 @@ from .correspondence import (dimension_identity_check, eta_matches_leaf,
 from .errors import BetheGl2Error, GenericityError, InternalConsistencyError
 from .gl2rep import (EvalModule, WeightLabel, brute_isotypical_character,
                      char_isotypical_closed)
+from .numeric import DEFAULT_PRECISION
 from .olambda import (character_identities_check, eliminate,
                       generator_span_check, universal_operator_data)
 from .spectral import (deformed_isotypical_decomposition,
@@ -116,7 +117,7 @@ def task_blocks(params):
 def task_leaves(params):
     n = params["n"]
     points = params["points"]
-    precision = params.get("precision", 128)
+    precision = params.get("precision", DEFAULT_PRECISION)
     module = EvalModule(n, [Fraction(p) for p in points])
     checks = []
     blocks = deformed_isotypical_decomposition(module, KMatrix.nilpotent())
@@ -141,8 +142,7 @@ def task_leaves(params):
             except BetheGl2Error as exc:
                 checks.append(_check(f"leaf_operator_{label}_{idx}", False,
                                      detail=str(exc)))
-    rep = singular_spectrum_match(module, precision,
-                                  seed=params.get("seed", 0))
+    rep = singular_spectrum_match(module, seed=params.get("seed", 0))
     checks.append(_check(rep["name"], rep["pass"],
                          detail=rep["failures"] or None))
     return checks
@@ -190,7 +190,7 @@ def task_characters(params):
 def task_eta(params):
     n = params["n"]
     points = params["points"]
-    precision = params.get("precision", 128)
+    precision = params.get("precision", DEFAULT_PRECISION)
     module = EvalModule(n, [Fraction(p) for p in points])
     checks = []
     blocks = deformed_isotypical_decomposition(module, KMatrix.nilpotent())
@@ -219,6 +219,7 @@ def task_correspondence(params):
     n = params["n"]
     points = params["points"]
     seed = params.get("seed", 0)
+    precision = params.get("precision", DEFAULT_PRECISION)
     module = EvalModule(n, [Fraction(p) for p in points])
     checks = []
     rep = dimension_identity_check(n, points)
@@ -227,8 +228,7 @@ def task_correspondence(params):
     checks.append(_check(rep["name"], rep["pass"],
                          detail=rep["failures"] or None))
     for weight in [WeightLabel(n - k, k) for k in range(n // 2 + 1)]:
-        rep = nu_consistency_check(module, weight,
-                                   params.get("precision", 128), seed)
+        rep = nu_consistency_check(module, weight, precision, seed)
         checks.append(_check(rep["name"], rep["pass"],
                              detail=rep["failures"] or None))
     return checks
@@ -240,7 +240,7 @@ def task_roundtrip(params):
     k = params["k"]
     seed = params["seed"]
     count = params.get("count", 10)
-    precision = params.get("precision", 128)
+    precision = params.get("precision", DEFAULT_PRECISION)
     rng = random.Random(seed)
     checks = []
     found = 0
@@ -305,7 +305,7 @@ def execute_instance(instance):
 class RunConfig:
     suite: str = "core"
     max_n: int = 3
-    precision: int = 128
+    precision: int = DEFAULT_PRECISION
     seed: int = 0
     kd_list: tuple = ((0, 1), (1, 1), (0, 2))
     point_sets: int = 2

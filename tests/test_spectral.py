@@ -1,5 +1,5 @@
-"""Spectral layer: blocks, triangular bases, leaves, leaf operators,
-singular matching, and the polynomial-pair roundtrip."""
+"""Spectral layer: blocks, triangular bases, leaves, leaf operators, the
+singular-spectrum identity, and the polynomial-pair roundtrip."""
 
 import importlib.util
 from fractions import Fraction
@@ -11,8 +11,9 @@ from mpmath import mp
 
 from bethe_gl2 import spectral
 from bethe_gl2.betheop import KMatrix, b2_residues, u_coefficients
+from bethe_gl2.correspondence import nu_consistency_check
 from bethe_gl2.errors import GenericityError, TheoremViolationError
-from bethe_gl2.gl2rep import EvalModule, syt_count
+from bethe_gl2.gl2rep import EvalModule, WeightLabel, syt_count
 from bethe_gl2.linalg import Matrix, rank
 from bethe_gl2.numeric import (conj_transpose, joint_split_mp, sparse_to_mp,
                                with_precision_escalation)
@@ -208,9 +209,34 @@ def test_leaf_scalar_part_equals_block_eigenvalue():
 
 
 def test_singular_spectrum_match():
-    for points in ([0], [0, 1], [0, 1, 2]):
-        report = singular_spectrum_match(module_for(points), 128, seed=2)
+    # At [-3, 3] block (2, 0) is not regular: the identity holds for the
+    # characteristic polynomial only, not for the minimal one.
+    for points in ([0], [0, 1], [0, 1, 2], [-3, 3], [-2, 0, 2]):
+        report = singular_spectrum_match(module_for(points), seed=2)
         assert report["pass"], report["failures"]
+
+
+def test_perturbed_block_coefficient_fails_spectrum_identity(monkeypatch):
+    # A diagonal entry moves the trace of Y, so the identity must fail; an
+    # entry above the diagonal can leave the spectrum unchanged.
+    original = spectral.IsotypicBlock.bethe_restricted
+
+    def perturbed(self, j):
+        mat = original(self, j)
+        if j != 2:
+            return mat
+        rows = [list(row) for row in mat.data]
+        rows[0][0] += Fraction(1, 7)
+        return Matrix(rows)
+
+    monkeypatch.setattr(spectral.IsotypicBlock, "bethe_restricted",
+                        perturbed)
+    for points in ([-3, 3], [0, 1, 2]):
+        report = singular_spectrum_match(module_for(points), seed=2)
+        assert not report["pass"]
+        assert all("charpoly" in f for f in report["failures"])
+    report = nu_consistency_check(module_for([0, 1, 2]), WeightLabel(2, 1))
+    assert any("charpoly" in f for f in report["failures"])
 
 
 def test_roundtrip_exact_rational_points():
