@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import InternalConsistencyError
 from .gl2rep import (GENERATORS, EvalModule, SymbolicVector, WeightLabel,
                      build_irrep, symbolic_action)
-from .linalg import Matrix, minimal_polynomial
+from .linalg import Matrix, krylov_minpoly
 from .unipoly import UniPoly
 
 
@@ -347,7 +347,11 @@ def irrep_bethe_image(weight: WeightLabel) -> UniPoly:
     that order.
     """
     rep = build_irrep(weight)
-    minpoly = minimal_polynomial(rep.e21)
+    # The highest vector u_0 is cyclic for e21: e21 u_i = (i+1) u_{i+1}.
+    certificate = krylov_minpoly(rep.e21, [1] + [0] * (rep.dim - 1))
+    if certificate is None:
+        raise InternalConsistencyError("highest vector is not cyclic for e21")
+    minpoly = certificate[0]
     expected = UniPoly.monomial(weight.lam1 - weight.lam2 + 1)
     if minpoly != expected:
         raise InternalConsistencyError(

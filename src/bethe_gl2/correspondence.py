@@ -16,19 +16,16 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .betheop import KMatrix
 from .errors import IndicialError, TheoremViolationError
-from .gl2rep import EvalModule, WeightLabel, syt_count
-from .linalg import (Matrix, algebra_closure, cyclic_vector_exists,
-                     ideal_span, solve_unique)
+from .gl2rep import syt_count
+from .linalg import Matrix, krylov_minpoly, solve_unique
 from .multipoly import MultiPoly
 from .nilpotent import NilpotentElement
 from .numeric import DEFAULT_PRECISION, default_tolerance, lstsq_mp
 from .olambda import OLambdaData
-from .spectral import (LeafOperator, deformed_isotypical_decomposition,
-                       decompose_in_nilpotent_powers, eigenleaf_decomposition,
-                       singular_restriction, singular_spectrum_identity)
-from .unipoly import UniPoly, laurent_at_infinity, poly_wronskian
+from .spectral import (LeafOperator, decompose_in_nilpotent_powers,
+                       eigenleaf_decomposition, singular_spectrum_identity)
+from .unipoly import UniPoly, laurent_at_infinity, poly_gcd, poly_wronskian
 
 
 @dataclass
@@ -474,10 +471,9 @@ def _nilp_distance(a: NilpotentElement, b: NilpotentElement):
 # Dimension identities and module-isomorphism consequences
 # ---------------------------------------------------------------------------
 
-def dimension_identity_check(n, points=None):
+def dimension_identity_check(blocks):
     """(d+1) #SYT equals every exact block dimension; blocks fill the space."""
-    module = EvalModule(n, points if points is not None else list(range(n)))
-    blocks = deformed_isotypical_decomposition(module, KMatrix.nilpotent())
+    module = blocks[0].module
     failures = []
     details = []
     for block in blocks:
@@ -489,80 +485,85 @@ def dimension_identity_check(n, points=None):
             failures.append(f"block {weight} dimension {block.dim}")
     if sum(b.dim for b in blocks) != module.dim:
         failures.append("blocks do not fill the module")
-    return {"name": f"dimension_identity_n{n}", "pass": not failures,
+    return {"name": f"dimension_identity_n{module.n}", "pass": not failures,
             "failures": failures, "details": details}
 
 
-def regular_representation_check(module: EvalModule, seed=0):
+CYCLIC_ATTEMPTS = 5
+
+
+def _cyclic_combination(mats, rng, extra=()):
+    """Seeded Y = sum c_i mats[i] and krylov_minpoly(Y, v, [E v]), or None."""
+    for _ in range(CYCLIC_ATTEMPTS):
+        y = sum(rng.randint(1, 9) * m for m in mats)
+        v = [Fraction(rng.randint(-9, 9)) for _ in range(y.rows)]
+        certificate = krylov_minpoly(y, v, [e.apply(v) for e in extra])
+        if certificate is not None:
+            return y, certificate
+    return None
+
+
+def regular_representation_check(blocks, sing_mats, seed=0):
     """Exact regular-representation consequences on every block.
 
-    Per block: the unital algebra generated by the restricted numerator
-    coefficients has dimension equal to the block dimension and a cyclic
-    vector; the ideal generated by the restricted nilpotent has codimension
-    equal to the tableau count; the nilpotent filtration steps all have size
-    #SYT; and the plain family restricted to the singular space generates an
-    algebra of dimension #SYT with a cyclic vector.
+    sing_mats[i] are the plain coefficients on the singular space of
+    blocks[i] (none when n = 1).  A seeded Y = sum c_i U_i with a cyclic
+    vector has centralizer Q[Y], and every U_i commutes with Y (checked),
+    so the algebra A they generate is Q[Y] = Q[x]/(mu): it has the block
+    dimension and a cyclic vector.  U_1 = Q_1(Y), so U_1^j A has
+    codimension deg gcd(Q_1^j, mu): the ideal codimension and every
+    filtration step must be #SYT, and U_1^(d+1) must vanish.  The singular
+    space has dimension #SYT, and a plain combination is cyclic on it.
     """
     rng = random.Random(seed)
-    blocks = deformed_isotypical_decomposition(module, KMatrix.nilpotent())
     failures = []
-    for block in blocks:
+    for block, mats in zip(blocks, sing_mats):
         weight = block.weight
         count = syt_count(weight)
         gens = block.u_restricted()
-        algebra = algebra_closure(gens, max_dim=block.dim + 1)
-        if len(algebra) != block.dim:
-            failures.append(
-                f"block algebra of {weight} has dimension {len(algebra)}, "
-                f"expected {block.dim}")
-            continue
-        if not cyclic_vector_exists(algebra, rng, block.dim):
+        found = _cyclic_combination(gens, rng, gens[:1])
+        if found is None:
             failures.append(f"no cyclic vector found for block {weight}")
-        ideal = ideal_span(algebra, gens[0])
-        if block.dim - len(ideal) != count:
-            failures.append(
-                f"nilpotent ideal codimension {block.dim - len(ideal)} "
-                f"of {weight}, expected {count}")
-        previous = algebra
-        power = Matrix.identity(block.dim)
-        for j in range(1, weight.d + 2):
-            power = power * gens[0]
-            step = ideal_span(algebra, power)
-            if len(previous) - len(step) != count:
+        elif any(u * found[0] != found[0] * u for u in gens):
+            failures.append(f"the U_i do not commute on block {weight}")
+        else:
+            _, (mu, (q1,)) = found
+            # gcd(Q_1^j, mu) = gcd(Q_1 gcd(Q_1^(j-1), mu), mu)
+            degrees, common = [0], UniPoly([1])
+            for _ in range(weight.d + 1):
+                common = poly_gcd(q1 * common, mu)
+                degrees.append(common.degree())
+            if degrees[1] != count:
+                failures.append(f"nilpotent ideal codimension {degrees[1]} "
+                                f"of {weight}, expected {count}")
+            for j in range(1, weight.d + 2):
+                if degrees[j] - degrees[j - 1] != count:
+                    failures.append(
+                        f"filtration step {j} of {weight} has size "
+                        f"{degrees[j] - degrees[j - 1]}, expected {count}")
+            if degrees[-1] != block.dim:
                 failures.append(
-                    f"filtration step {j} of {weight} has size "
-                    f"{len(previous) - len(step)}, expected {count}")
-            previous = step
-        if previous:
-            failures.append(f"nilpotent filtration of {weight} does not vanish")
-        # Plain family on the singular space.
-        basis, sing_mats = singular_restriction(module, weight)
-        sing_algebra = algebra_closure(sing_mats, max_dim=count + 1) \
-            if sing_mats else [Matrix.identity(count)]
-        if len(sing_algebra) != count:
-            failures.append(
-                f"singular algebra of {weight} has dimension "
-                f"{len(sing_algebra)}, expected {count}")
-        elif not cyclic_vector_exists(sing_algebra, rng, count):
+                    f"nilpotent filtration of {weight} does not vanish")
+        if mats and mats[0].rows != count:
+            failures.append(f"singular space of {weight} has dimension "
+                            f"{mats[0].rows}, expected {count}")
+        elif mats and _cyclic_combination(mats, rng) is None:
             failures.append(f"no cyclic vector on sing {weight}")
     return {"name": "regular_representation", "pass": not failures,
             "failures": failures}
 
 
-def nu_consistency_check(module: EvalModule, weight: WeightLabel,
-                         precision=DEFAULT_PRECISION, seed=0):
+def nu_consistency_check(block, sing_mats, precision=DEFAULT_PRECISION,
+                         seed=0):
     """Finite consequences of the twisted/plain comparison on one block.
 
-    (a) the exact singular-spectrum identity of the block, for a seeded
-    random rational combination of the coefficients; (b) each twisted
-    coefficient on a leaf is its scalar plus a polynomial in the leaf
-    nilpotent with zero constant term; (c) the exact block algebra has the
-    product structure sizes.
+    (a) the exact singular-spectrum identity of the block against the plain
+    coefficients sing_mats on its singular space, for a seeded random
+    rational combination; (b) each twisted coefficient on a leaf is its
+    scalar plus a polynomial in the leaf nilpotent with zero constant term.
     """
-    blocks = deformed_isotypical_decomposition(module, KMatrix.nilpotent())
-    block = next(b for b in blocks if b.weight == weight)
+    weight = block.weight
     failures = []
-    _, sing_mats = singular_restriction(module, weight)
     rng = random.Random(seed)
     combo = [Fraction(rng.randint(1, 99), rng.randint(1, 9))
              for _ in sing_mats]
@@ -574,7 +575,7 @@ def nu_consistency_check(module: EvalModule, weight: WeightLabel,
         tol = default_tolerance(precision)
         slack = mpmath.mpf(2) ** (-(precision // 4))
         for idx, leaf in enumerate(leaves):
-            for j in range(2, module.n + 1):
+            for j in range(2, block.module.n + 1):
                 restricted = leaf.restrict(block.bethe_restricted(j))
                 coeffs, residual = decompose_in_nilpotent_powers(
                     restricted, leaf.n_matrix, tol)
@@ -585,8 +586,5 @@ def nu_consistency_check(module: EvalModule, weight: WeightLabel,
                 elif abs(coeffs[0] - leaf.phi[j]) > slack * scale:
                     failures.append(
                         f"leaf {idx}: constant of coefficient {j} is not phi")
-    reg = regular_representation_check(module, seed)
-    if not reg["pass"]:
-        failures.extend(reg["failures"])
     return {"name": f"nu_consistency_{weight.lam1}_{weight.lam2}",
             "pass": not failures, "failures": failures}

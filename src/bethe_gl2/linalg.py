@@ -1,8 +1,9 @@
 """Exact dense linear algebra over Q.
 
 Everything here is Fraction arithmetic: echelon forms, kernels,
-generalized eigenspaces, characteristic and minimal polynomials, and
-span/closure computations for finite-dimensional operator algebras.
+generalized eigenspaces, characteristic polynomials, Krylov certificates
+of cyclic vectors (which give the minimal polynomial and the polynomials
+expressing other vectors), and incremental span bases.
 Numeric (high-precision float) routines live in `numeric`.
 """
 
@@ -286,26 +287,29 @@ def charpoly(mat: Matrix) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def minimal_polynomial(mat: Matrix) -> UniPoly:
-    """Monic minimal polynomial via the first Krylov dependency of powers."""
+def krylov_minpoly(mat: Matrix, v, extra_vectors=()):
+    """Exact Krylov certificate that v is a cyclic vector of mat.
+
+    One echelon form of the columns v, Av, ..., A^m v (m = mat.rows),
+    followed by extra_vectors.  Returns None when the first m columns are
+    dependent, i.e. v is not cyclic.  Otherwise returns (mu, coords): mu is
+    the monic minimal polynomial of mat, and coords[i] is the polynomial Q_i
+    of degree < m with Q_i(mat) v = extra_vectors[i].
+    """
     if mat.rows != mat.cols:
-        raise ShapeError("minimal polynomial of a non-square matrix")
-    n = mat.rows
-    flat_powers = []
-    power = Matrix.identity(n)
-    for _ in range(n + 1):
-        flat_powers.append([x for row in power.data for x in row])
-        # Solve sum c_i P_i = -P_last for the shortest relation.
-        if len(flat_powers) >= 2:
-            lhs = Matrix([[flat_powers[i][j]
-                           for i in range(len(flat_powers) - 1)]
-                          for j in range(n * n)])
-            rhs = [-x for x in flat_powers[-1]]
-            sol = solve_unique(lhs, rhs)
-            if sol is not None:
-                return UniPoly(sol + [Fraction(1)])
-        power = power * mat
-    raise AssertionError("no minimal polynomial found (unreachable)")
+        raise ShapeError("Krylov sequence of a non-square matrix")
+    m = mat.rows
+    columns = [list(v)]
+    for _ in range(m):
+        columns.append(mat.apply(columns[-1]))
+    columns.extend(extra_vectors)
+    reduced, pivots = rref(list(zip(*columns)))
+    if pivots[:m] != list(range(m)):
+        return None
+    coords = [UniPoly([reduced[i][c] for i in range(m)])
+              for c in range(m, len(columns))]
+    mu = UniPoly.monomial(m) - coords[0]
+    return mu, coords[1:]
 
 
 class SpanBasis:
@@ -339,51 +343,3 @@ class SpanBasis:
 
     def dimension(self):
         return len(self.rows)
-
-
-def algebra_closure(generators, max_dim=None):
-    """Basis of the unital matrix algebra generated by the given matrices.
-
-    Breadth-first span closure under multiplication by the generators;
-    returns a list of matrices whose vectorizations are independent.
-    """
-    if not generators:
-        return []
-    n = generators[0].rows
-    basis = SpanBasis()
-    elements = []
-    queue = [Matrix.identity(n)] + list(generators)
-    while queue:
-        m = queue.pop(0)
-        if basis.add([x for row in m.data for x in row]):
-            elements.append(m)
-            if max_dim is not None and len(elements) > max_dim:
-                raise AssertionError("algebra closure exceeded expected size")
-            queue.extend(m * g for g in generators)
-    return elements
-
-
-def ideal_span(algebra_basis, generator):
-    """Basis of the ideal generator * A inside a commutative matrix algebra."""
-    basis = SpanBasis()
-    elements = []
-    for a in algebra_basis:
-        m = generator * a
-        if basis.add([x for row in m.data for x in row]):
-            elements.append(m)
-    return elements
-
-
-def cyclic_vector_exists(algebra_basis, rng, dim, attempts=5):
-    """Whether a random vector generates the full module under the algebra."""
-    if not algebra_basis:
-        return dim == 0
-    n = algebra_basis[0].rows
-    for _ in range(attempts):
-        v = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        span = SpanBasis()
-        for a in algebra_basis:
-            span.add(a.apply(v))
-        if span.dimension() == dim:
-            return True
-    return False

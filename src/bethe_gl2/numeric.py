@@ -206,7 +206,12 @@ def joint_split_mp(mats_num):
                 # mpmath.eig ignores the no-vector flags on 1x1 input
                 eigs = [r[0, 0]]
             else:
-                eigs = mpmath.eig(r, left=False, right=False)
+                try:
+                    eigs = mpmath.eig(r, left=False, right=False)
+                except RuntimeError as exc:
+                    # mpmath's QR iteration stalls on near-scalar clusters.
+                    raise PrecisionInsufficientError(
+                        f"eigenvalues of a {dim}x{dim} restriction: {exc}")
             radius = _merge_radius(dim, scale)
             clusters = cluster_values(eigs, radius)
             if len(clusters) > 1:

@@ -139,8 +139,9 @@ def triangular_block_basis(block: IsotypicBlock):
     module = block.module
     n = module.n
     weight = block.weight
-    op0 = universal_operator(module, KMatrix.zero())
-    b22_plain = op0.bethe_coefficient(2, 2)
+    # The twist term lowers weight by exactly one, so on each weight level
+    # the block's B22 equals the plain one (checked by nilp_formula_check).
+    b22 = block.operator.bethe_coefficient(2, 2)
     lam = block.eigenvalue
     columns = []
     failures = []
@@ -157,7 +158,7 @@ def triangular_block_basis(block: IsotypicBlock):
         projected_r = [r for r in projected_r if any(x != 0 for x in r)]
         # Honest isotypic piece at this weight: eigenspace of the plain
         # quadratic coefficient restricted to the weight space.
-        restricted = Matrix([[b22_plain.data[i][j] for j in level]
+        restricted = Matrix([[b22.data[i][j] for j in level]
                              for i in level])
         target = kernel_basis(
             restricted - lam * Matrix.identity(len(level)))
@@ -486,7 +487,7 @@ def singular_spectrum_identity(block: IsotypicBlock, sing_mats, coeffs):
     return None
 
 
-def singular_spectrum_match(module: EvalModule, seed=0):
+def singular_spectrum_match(blocks, seed=0):
     """Singular dimensions and the exact singular-spectrum identity per block.
 
     The singular space of each weight has dimension #SYT, and every deformed
@@ -494,11 +495,10 @@ def singular_spectrum_match(module: EvalModule, seed=0):
     combination of the coefficients.
     """
     rng = random.Random(seed)
-    blocks = deformed_isotypical_decomposition(module, KMatrix.nilpotent())
     failures = []
     for block in blocks:
         weight = block.weight
-        basis, mats = singular_restriction(module, weight)
+        basis, mats = singular_restriction(block.module, weight)
         count = syt_count(weight)
         if basis.cols != count:
             failures.append(f"sing dim {basis.cols} != {count} at {weight}")

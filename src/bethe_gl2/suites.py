@@ -29,8 +29,8 @@ from .olambda import (character_identities_check, eliminate,
                       generator_span_check, universal_operator_data)
 from .spectral import (deformed_isotypical_decomposition,
                        eigenleaf_decomposition, leaf_from_polynomials,
-                       leaf_operator, singular_spectrum_match,
-                       triangular_block_basis)
+                       leaf_operator, singular_restriction,
+                       singular_spectrum_match, triangular_block_basis)
 from .unipoly import UniPoly
 
 
@@ -95,6 +95,7 @@ def task_blocks(params):
     points = params["points"]
     module = EvalModule(n, [Fraction(p) for p in points])
     checks = []
+    decompositions = []
     for kmat in (KMatrix.nilpotent(), KMatrix.zero()):
         try:
             blocks = deformed_isotypical_decomposition(module, kmat)
@@ -105,8 +106,8 @@ def task_blocks(params):
             checks.append(_check(f"block_dimensions_{kmat.label}", False,
                                  detail=str(exc)))
             return checks
-    blocks = deformed_isotypical_decomposition(module, KMatrix.nilpotent())
-    for block in blocks:
+        decompositions.append(blocks)
+    for block in decompositions[0]:
         _, rep = triangular_block_basis(block)
         checks.append(_check(
             f"triangular_basis_{block.weight.lam1}_{block.weight.lam2}",
@@ -142,7 +143,7 @@ def task_leaves(params):
             except BetheGl2Error as exc:
                 checks.append(_check(f"leaf_operator_{label}_{idx}", False,
                                      detail=str(exc)))
-    rep = singular_spectrum_match(module, seed=params.get("seed", 0))
+    rep = singular_spectrum_match(blocks, seed=params.get("seed", 0))
     checks.append(_check(rep["name"], rep["pass"],
                          detail=rep["failures"] or None))
     return checks
@@ -221,16 +222,18 @@ def task_correspondence(params):
     seed = params.get("seed", 0)
     precision = params.get("precision", DEFAULT_PRECISION)
     module = EvalModule(n, [Fraction(p) for p in points])
-    checks = []
-    rep = dimension_identity_check(n, points)
-    checks.append(_check(rep["name"], rep["pass"], detail=rep["details"]))
-    rep = regular_representation_check(module, seed)
-    checks.append(_check(rep["name"], rep["pass"],
-                         detail=rep["failures"] or None))
-    for weight in [WeightLabel(n - k, k) for k in range(n // 2 + 1)]:
-        rep = nu_consistency_check(module, weight, precision, seed)
-        checks.append(_check(rep["name"], rep["pass"],
-                             detail=rep["failures"] or None))
+    blocks = deformed_isotypical_decomposition(module, KMatrix.nilpotent())
+    sing_mats = [singular_restriction(module, b.weight)[1] for b in blocks]
+    rep = dimension_identity_check(blocks)
+    checks = [_check(rep["name"], rep["pass"], detail=rep["details"])]
+    reg = regular_representation_check(blocks, sing_mats, seed)
+    checks.append(_check(reg["name"], reg["pass"],
+                         detail=reg["failures"] or None))
+    for block, mats in zip(blocks, sing_mats):
+        rep = nu_consistency_check(block, mats, precision, seed)
+        failures = rep["failures"] + reg["failures"]
+        checks.append(_check(rep["name"], not failures,
+                             detail=failures or None))
     return checks
 
 

@@ -7,10 +7,12 @@ from bethe_gl2.betheop import KMatrix
 from bethe_gl2.gl2rep import EvalModule
 from bethe_gl2.olambda import universal_operator_data
 from bethe_gl2.spectral import (deformed_isotypical_decomposition,
-                                eigenleaf_decomposition, leaf_operator)
+                                eigenleaf_decomposition, leaf_operator,
+                                singular_restriction)
 
 _MODULES = {}
 _BLOCKS = {}
+_SING = {}
 _LEAVES = {}
 _OLAMBDA = {}
 
@@ -29,6 +31,15 @@ def blocks_for(points, label="nilpotent"):
         _BLOCKS[key] = deformed_isotypical_decomposition(
             module_for(points), kmat)
     return _BLOCKS[key]
+
+
+def sing_mats_for(points):
+    """Plain coefficients on the singular space of each nilpotent block."""
+    key = tuple(points)
+    if key not in _SING:
+        _SING[key] = [singular_restriction(module_for(points), b.weight)[1]
+                      for b in blocks_for(points)]
+    return _SING[key]
 
 
 def leaves_for(points, block_index, precision=128):

@@ -32,7 +32,7 @@ from bethe_gl2.unipoly import UniPoly
 from bethe_gl2.multipoly import MultiPoly
 from bethe_gl2.nilpotent import NilpotentElement
 
-from conftest import blocks_for, leaves_for, module_for, olambda_for
+from conftest import blocks_for, leaves_for, olambda_for, sing_mats_for
 
 ELIMINATION_PAIRS = ((0, 1), (1, 1), (0, 2), (2, 1), (1, 2))
 
@@ -255,7 +255,9 @@ def test_criterion_12_literal_specialness():
 def test_criterion_13_regular_representation():
     ok = True
     for n in range(1, 5):
-        rep = regular_representation_check(module_for(list(range(n))), seed=6)
+        points = list(range(n))
+        rep = regular_representation_check(blocks_for(points),
+                                           sing_mats_for(points), seed=6)
         ok = ok and rep["pass"]
     assert report(13, "regular representation consequences (n <= 4)", ok)
 

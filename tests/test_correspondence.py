@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from bethe_gl2 import spectral
 from bethe_gl2.correspondence import (construct_solutions,
                                       dimension_identity_check,
                                       eta_matches_leaf,
@@ -15,11 +16,12 @@ from bethe_gl2.correspondence import (construct_solutions,
                                       special_hom_from_solutions,
                                       specialness_check)
 from bethe_gl2.errors import IndicialError
-from bethe_gl2.gl2rep import WeightLabel
+from bethe_gl2.linalg import Matrix
 from bethe_gl2.nilpotent import NilpotentElement
 from bethe_gl2.unipoly import UniPoly
 
-from conftest import leaves_for, module_for, olambda_for
+from conftest import (blocks_for, leaves_for, module_for, olambda_for,
+                      sing_mats_for)
 
 
 # -- construct_solutions ----------------------------------------------------
@@ -199,9 +201,9 @@ def test_eta_f1_side_power_sums():
 
 def test_dimension_identity():
     for n in (2, 4):
-        report = dimension_identity_check(n)
+        report = dimension_identity_check(blocks_for(list(range(n))))
         assert report["pass"], report["failures"]
-    report = dimension_identity_check(4)
+    report = dimension_identity_check(blocks_for(list(range(4))))
     table = {tuple(entry["weight"]): entry["dim"]
              for entry in report["details"]}
     assert table[(3, 1)] == 9
@@ -209,15 +211,51 @@ def test_dimension_identity():
 
 
 def test_regular_representation_consequences():
-    for points in ([0, 1], [0, 1, 2]):
-        report = regular_representation_check(module_for(points), seed=3)
+    # At [-3, 3] a combination of the U_i without U_1 is not regular on
+    # block (2, 0).
+    for points in ([0, 1], [0, 1, 2], [-3, 3]):
+        report = regular_representation_check(
+            blocks_for(points), sing_mats_for(points), seed=3)
         assert report["pass"], report["failures"]
 
 
+def _squared_nilpotent(gens):
+    # U_1^2 still commutes with every U_i but dies one step earlier, so the
+    # ideal and filtration sizes read off the Krylov certificate change.
+    return [gens[0] * gens[0]] + gens[1:]
+
+
+def _skewed_u2(gens):
+    rows = [list(row) for row in gens[1].data]
+    rows[0][-1] += Fraction(1, 7)
+    return [gens[0], Matrix(rows)] + gens[2:]
+
+
+@pytest.mark.parametrize("mutate, markers", [
+    (_squared_nilpotent, ("codimension", "filtration")),
+    (_skewed_u2, ("do not commute",)),
+])
+def test_mutated_generators_fail_regular_representation(monkeypatch, mutate,
+                                                        markers):
+    original = spectral.IsotypicBlock.u_restricted
+    monkeypatch.setattr(spectral.IsotypicBlock, "u_restricted",
+                        lambda self: mutate(original(self)))
+    points = [0, 1, 2]
+    report = regular_representation_check(blocks_for(points),
+                                          sing_mats_for(points))
+    assert report["failures"]
+    assert all(any(m in f for m in markers) for f in report["failures"]), \
+        report["failures"]
+
+
+def _nu_report(points, index):
+    return nu_consistency_check(blocks_for(points)[index],
+                                sing_mats_for(points)[index])
+
+
 def test_nu_consistency():
-    report = nu_consistency_check(module_for([0, 1]), WeightLabel(1, 1))
-    assert report["pass"], report["failures"]
-    report = nu_consistency_check(module_for([0, 1, 2]), WeightLabel(2, 1))
-    assert report["pass"], report["failures"]
-    report = nu_consistency_check(module_for([0, 1]), WeightLabel(2, 0))
-    assert report["pass"], report["failures"]
+    for points, index in (([0, 1], 1), ([0, 1, 2], 1), ([0, 1], 0)):
+        report = _nu_report(points, index)
+        assert report["name"] == "nu_consistency_{}_{}".format(
+            len(points) - index, index)
+        assert report["pass"], report["failures"]

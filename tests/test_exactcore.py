@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bethe_gl2.errors import (NotInvertibleError, RingMismatchError,
+from bethe_gl2.errors import (NotInvertibleError,
+                              PrecisionInsufficientError, RingMismatchError,
                               ShapeError)
-from bethe_gl2.linalg import (Matrix, algebra_closure, charpoly,
-                              generalized_eigenspace, kernel_basis,
-                              minimal_polynomial, rank, rref, solve_unique)
+from bethe_gl2.linalg import (Matrix, charpoly, generalized_eigenspace,
+                              kernel_basis, krylov_minpoly, rank, rref,
+                              solve_unique)
 from bethe_gl2.multipoly import MultiPoly
 from bethe_gl2.nilpotent import NilpotentElement, nilpotent_invert
-from bethe_gl2.numeric import joint_split_mp, snap_to_rational, to_mp
+from bethe_gl2.numeric import (MAX_PRECISION, joint_split_mp,
+                               snap_to_rational, to_mp,
+                               with_precision_escalation)
 from bethe_gl2.qseries import QSeries, geometric, qseries_pochhammer
 from bethe_gl2.unipoly import (UniPoly, is_squarefree, laurent_at_infinity,
                                poly_gcd, poly_wronskian)
@@ -281,17 +284,25 @@ def test_kernel_basis_is_reduced_echelon_kernel(mat):
 
 
 @st.composite
-def planted_jordan(draw):
-    """(P J P^-1, [(eigenvalue, size)]) for the Jordan blocks planted in J.
+def planted_jordan(draw, eigenvalues="any"):
+    """(P J P^-1, [(eigenvalue, size)], P) for the blocks planted in J.
 
-    The dimension is at most 8.
+    The dimension is at most 8.  eigenvalues="distinct" gives every block
+    its own eigenvalue; "repeated" makes the last block repeat the first
+    block's eigenvalue.
     """
-    eigenvalues = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3,
-                                unique=True))
-    sizes = draw(st.lists(
-        st.tuples(st.sampled_from(eigenvalues), st.integers(1, 3)),
-        min_size=1, max_size=4).filter(
-            lambda bs: sum(size for _, size in bs) <= 8))
+    values = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3,
+                           unique=True))
+    if eigenvalues == "distinct":
+        sizes = [(lam, draw(st.integers(1, 2))) for lam in values]
+    else:
+        most = 6 if eigenvalues == "repeated" else 8
+        sizes = draw(st.lists(
+            st.tuples(st.sampled_from(values), st.integers(1, 3)),
+            min_size=1, max_size=4).filter(
+                lambda bs: sum(size for _, size in bs) <= most))
+        if eigenvalues == "repeated":
+            sizes.append((sizes[0][0], draw(st.integers(1, 2))))
     dim = sum(size for _, size in sizes)
     jordan = Matrix.zeros(dim, dim)
     start = 0
@@ -311,13 +322,13 @@ def planted_jordan(draw):
     p_inv = Matrix.from_columns([
         solve_unique(p, [int(i == j) for i in range(dim)])
         for j in range(dim)])
-    return p * jordan * p_inv, sizes
+    return p * jordan * p_inv, sizes, p
 
 
 @settings(max_examples=60, deadline=None)
 @given(planted_jordan(), st.integers(1, 4))
 def test_generalized_eigenspace_matches_explicit_power(planted, exponent):
-    m, blocks = planted
+    m, blocks, _ = planted
     n = m.rows
     for lam in sorted({x for x, _ in blocks}) + [3]:
         shifted = m - lam * Matrix.identity(n)
@@ -328,12 +339,63 @@ def test_generalized_eigenspace_matches_explicit_power(planted, exponent):
         assert partial.columns() == _reference_kernel(shifted ** exponent)
 
 
+def _poly_apply(mat, poly, v):
+    """poly(mat) v by Horner's rule."""
+    out = [Fraction(0)] * len(v)
+    for c in reversed(poly.coeffs):
+        out = [a + c * x for a, x in zip(mat.apply(out), v)]
+    return out
+
+
 def test_charpoly_and_minpoly():
     m = Matrix([[2, 1], [0, 2]])
     assert charpoly(m) == UniPoly([4, -4, 1])
-    assert minimal_polynomial(m) == UniPoly([4, -4, 1])
+    assert krylov_minpoly(m, [0, 1]) == (UniPoly([4, -4, 1]), [])
+    # A scalar matrix has no cyclic vector in dimension 2.
     diag = Matrix([[3, 0], [0, 3]])
-    assert minimal_polynomial(diag) == UniPoly([-3, 1])
+    assert krylov_minpoly(diag, [1, 1]) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(fractions_st, min_size=1, max_size=8))
+def test_krylov_minpoly_of_companion_matrix(coeffs):
+    # The companion matrix of x^m + sum c_i x^i maps e_i to e_(i+1).
+    m = len(coeffs)
+    companion = Matrix.zeros(m, m)
+    for i in range(1, m):
+        companion.data[i][i - 1] = Fraction(1)
+    for i, c in enumerate(coeffs):
+        companion.data[i][m - 1] = -c
+    e0 = [1] + [0] * (m - 1)
+    assert krylov_minpoly(companion, e0) == (UniPoly(coeffs + [1]), [])
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_jordan("distinct"),
+       st.lists(st.lists(fractions_st, max_size=8), max_size=3))
+def test_krylov_minpoly_of_planted_jordan_blocks(planted, extra_coeffs):
+    m, blocks, p = planted
+    n = m.rows
+    # J e_i = lam e_i + e_(i-1) inside a block, so the sum of the last
+    # vectors of the blocks is cyclic for J, and P times it for m.
+    ends = {sum(size for _, size in blocks[:b + 1]) - 1
+            for b in range(len(blocks))}
+    v = p.apply([Fraction(int(i in ends)) for i in range(n)])
+    polys = [UniPoly(cs[:n]) for cs in extra_coeffs]
+    mu, coords = krylov_minpoly(m, v, [_poly_apply(m, q, v) for q in polys])
+    expected = UniPoly.from_roots(
+        [Fraction(lam) for lam, size in blocks for _ in range(size)])
+    assert mu == expected
+    assert coords == polys
+
+
+@settings(max_examples=20, deadline=None)
+@given(planted_jordan("repeated"),
+       st.lists(fractions_st, min_size=8, max_size=8))
+def test_krylov_minpoly_rejects_repeated_eigenvalue_blocks(planted, entries):
+    # Two blocks share an eigenvalue, so no vector is cyclic.
+    m, _, _ = planted
+    assert krylov_minpoly(m, entries[:m.rows]) is None
 
 
 def test_solve_unique():
@@ -342,10 +404,11 @@ def test_solve_unique():
     assert solve_unique(m, [3, 2, 2]) is None
 
 
-def test_algebra_closure_dimension():
+def test_krylov_algebra_dimension():
+    # e3 is cyclic for the nilpotent Jordan block, so Q[J] has dimension 3.
     jordan = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    algebra = algebra_closure([jordan])
-    assert len(algebra) == 3
+    mu, _ = krylov_minpoly(jordan, [0, 0, 1])
+    assert mu == UniPoly.monomial(3)
 
 
 # -- numeric joint eigenspaces -------------------------------------------
@@ -377,6 +440,25 @@ def test_joint_pair_diagonals():
                   round(float(v[1].real if hasattr(v[1], 'real') else v[1])))
                  for v, _ in spaces)
     assert got == [(1, 4), (1, 5), (2, 5)]
+
+
+def test_stalled_eig_is_a_typed_precision_error(monkeypatch):
+    # mpmath raises a bare RuntimeError when its QR iteration stalls; the
+    # split reports it as a precision shortfall, retried up to the cap.
+    precisions = []
+
+    def stalled(*args, **kwargs):
+        precisions.append(mpmath.mp.prec)
+        raise RuntimeError("qr: failed to converge")
+
+    def split(prec):
+        with mpmath.mp.workprec(prec):
+            return joint_split_mp([to_mp(Matrix([[1, 0], [0, 2]]))])
+
+    monkeypatch.setattr(mpmath, "eig", stalled)
+    with pytest.raises(PrecisionInsufficientError):
+        with_precision_escalation(split, 128)
+    assert precisions == [128, 256, 512, MAX_PRECISION]
 
 
 def test_snap_to_rational():

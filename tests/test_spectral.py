@@ -13,7 +13,7 @@ from bethe_gl2 import spectral
 from bethe_gl2.betheop import KMatrix, b2_residues, u_coefficients
 from bethe_gl2.correspondence import nu_consistency_check
 from bethe_gl2.errors import GenericityError, TheoremViolationError
-from bethe_gl2.gl2rep import EvalModule, WeightLabel, syt_count
+from bethe_gl2.gl2rep import EvalModule, syt_count
 from bethe_gl2.linalg import Matrix, rank
 from bethe_gl2.numeric import (conj_transpose, joint_split_mp, sparse_to_mp,
                                with_precision_escalation)
@@ -24,7 +24,7 @@ from bethe_gl2.spectral import (block_eigenvalue,
                                 triangular_block_basis, weight_labels)
 from bethe_gl2.unipoly import UniPoly
 
-from conftest import blocks_for, leaves_for, module_for
+from conftest import blocks_for, leaves_for, module_for, sing_mats_for
 
 
 def test_block_dimensions_n2():
@@ -212,7 +212,7 @@ def test_singular_spectrum_match():
     # At [-3, 3] block (2, 0) is not regular: the identity holds for the
     # characteristic polynomial only, not for the minimal one.
     for points in ([0], [0, 1], [0, 1, 2], [-3, 3], [-2, 0, 2]):
-        report = singular_spectrum_match(module_for(points), seed=2)
+        report = singular_spectrum_match(blocks_for(points), seed=2)
         assert report["pass"], report["failures"]
 
 
@@ -232,10 +232,11 @@ def test_perturbed_block_coefficient_fails_spectrum_identity(monkeypatch):
     monkeypatch.setattr(spectral.IsotypicBlock, "bethe_restricted",
                         perturbed)
     for points in ([-3, 3], [0, 1, 2]):
-        report = singular_spectrum_match(module_for(points), seed=2)
+        report = singular_spectrum_match(blocks_for(points), seed=2)
         assert not report["pass"]
         assert all("charpoly" in f for f in report["failures"])
-    report = nu_consistency_check(module_for([0, 1, 2]), WeightLabel(2, 1))
+    report = nu_consistency_check(blocks_for([0, 1, 2])[1],
+                                  sing_mats_for([0, 1, 2])[1])
     assert any("charpoly" in f for f in report["failures"])
 
 
